@@ -69,11 +69,13 @@ rebalance:
 ## the transfer package itself, the diff-transfer differential battery in
 ## internal/verify, and the service/CLI wiring (-count=1: the concurrent
 ## cold-start-storm test asserts one transfer flight per key under live
-## scheduling, which a cached pass would not exercise)
+## scheduling, which a cached pass would not exercise; the donor-index
+## tests, whose queries race writers and transfer fills, run ten times)
 transfer:
 	$(GO) vet ./internal/transfer
 	$(GO) test -race -count=1 ./internal/transfer
 	$(GO) test -race -count=1 -run 'Transfer|DiffTransfer' ./internal/verify ./internal/service ./cmd/fupermod-serve ./cmd/fupermod-bench
+	$(GO) test -race -count=10 -run 'DonorIndex' ./internal/service ./internal/service/modelstore
 
 ## matpart: vet + race-test the 2D matrix-partitioning layer end to end —
 ## the matpart package (DP oracle, enum cross-check, grid discretisation),

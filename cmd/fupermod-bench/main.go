@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 		minReps    = fs.Int("min-reps", 3, "minimum repetitions per point")
 		maxReps    = fs.Int("max-reps", 15, "maximum repetitions per point")
 		relErr     = fs.Float64("rel-err", 0.03, "target relative confidence-interval half-width")
-		workers    = fs.Int("workers", 0, "concurrent size-point measurements (0 = GOMAXPROCS); use 1 for real kernels so measurements do not contend")
+		workers    = fs.Int("workers", 0, "concurrent size-point measurements (0 = GOMAXPROCS); use 1 for real kernels so measurements do not contend; a noisy virtual kernel (-noise > 0) is always swept serially, so its points are reproducible")
 		helpDev    = fs.Bool("help-devices", false, "list device presets and exit")
 		machine    = fs.String("machine", "", "benchmark every device of this machine file (group-synchronized per node)")
 		outDir     = fs.String("outdir", "points", "output directory for -machine mode")
@@ -235,7 +235,7 @@ func run(args []string, stdout io.Writer) error {
 		if kerr != nil {
 			return kerr
 		}
-		cfg := transfer.Config{Probes: *trProbes, Budget: *trBudget, Tol: *trTol}
+		cfg := transfer.Config{Probes: *trProbes, Budget: *trBudget, Tol: *trTol, Candidates: transfer.DefaultCandidates}
 		res, terr := tryTransfer(store, storeKey, probeKernel, sizes, prec, cfg)
 		if terr != nil {
 			return terr
@@ -255,7 +255,15 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if !fromStore && !transferred {
-		if pts, err = core.SweepParallel(k, sizes, prec, *workers); err != nil {
+		if *kernelKind == "virtual" && *noise > 0 {
+			// The noise meter draws perturbations in measurement order, so
+			// only a serial sweep is reproducible — and equal to what the
+			// service and the store audit measure for the same key.
+			pts, err = core.Sweep(k, sizes, prec)
+		} else {
+			pts, err = core.SweepParallel(k, sizes, prec, *workers)
+		}
+		if err != nil {
 			return err
 		}
 		if store != nil {
@@ -288,19 +296,19 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // tryTransfer attempts a warm start for a cold store key: rank the store's
-// full-sweep curves against k's initial probes, rescale the nearest one and
-// actively sample until tolerance or budget. An unreadable or empty donor
-// pool is a reason to fall back, never an error — the full sweep always
-// works.
+// full-sweep curves (a snapshot of its donor index) against k's initial
+// probes, rescale the nearest one and actively sample until tolerance or
+// budget. An unreadable or empty donor pool is a reason to fall back, never
+// an error — the full sweep always works.
 func tryTransfer(store *modelstore.Store, key modelstore.Key, k core.Kernel, sizes []int, prec core.Precision, cfg transfer.Config) (*transfer.Result, error) {
-	donors, err := store.DonorPool(key)
+	donors, err := store.Donors(key)
 	if err != nil {
 		return &transfer.Result{Fallback: fmt.Sprintf("donor pool unreadable: %v", err)}, nil
 	}
-	if len(donors) == 0 {
+	if donors.Len() == 0 {
 		return &transfer.Result{Fallback: "the store has no donor curves"}, nil
 	}
-	return transfer.Acquire(sizes, core.NewProber(k, prec), transfer.Pool(donors, 0), cfg)
+	return transfer.Acquire(sizes, core.NewProber(k, prec), donors.Source(cfg.Candidates), cfg)
 }
 
 // benchMachine benchmarks every device of a machine file, node by node

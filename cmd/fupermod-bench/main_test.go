@@ -12,6 +12,7 @@ import (
 	"fupermod/internal/core"
 	"fupermod/internal/model"
 	"fupermod/internal/service/modelstore"
+	"fupermod/internal/verify"
 )
 
 func TestRunHelp(t *testing.T) {
@@ -288,23 +289,47 @@ func TestRunStoreRejectsRealKernels(t *testing.T) {
 	}
 }
 
-// TestRunWorkersDeterministic pins the -workers flag: a noiseless sweep
-// must produce byte-identical points files at any worker count.
+// TestRunWorkersDeterministic pins the -workers flag: a sweep must produce
+// byte-identical points files at any worker count — noiseless sweeps
+// because every measurement is exact, noisy ones because they are swept
+// serially whatever -workers says.
 func TestRunWorkersDeterministic(t *testing.T) {
-	sweep := func(workers string) string {
-		var buf bytes.Buffer
-		err := run([]string{"-kernel", "virtual", "-device", "netlib-blas",
-			"-lo", "16", "-hi", "4096", "-n", "12", "-noise", "0",
-			"-min-reps", "1", "-max-reps", "1", "-workers", workers}, &buf)
-		if err != nil {
-			t.Fatalf("workers=%s: %v", workers, err)
+	for _, noise := range []string{"0", "0.05"} {
+		sweep := func(workers string) string {
+			var buf bytes.Buffer
+			err := run([]string{"-kernel", "virtual", "-device", "fast",
+				"-lo", "16", "-hi", "60000", "-n", "40", "-noise", noise,
+				"-min-reps", "1", "-max-reps", "1", "-workers", workers}, &buf)
+			if err != nil {
+				t.Fatalf("noise=%s workers=%s: %v", noise, workers, err)
+			}
+			return buf.String()
 		}
-		return buf.String()
+		serial := sweep("1")
+		for _, w := range []string{"2", "4", "8", "0"} {
+			if got := sweep(w); got != serial {
+				t.Errorf("noise=%s workers=%s output differs from serial:\n%s\nvs\n%s", noise, w, got, serial)
+			}
+		}
 	}
-	serial := sweep("1")
-	for _, w := range []string{"2", "8", "0"} {
-		if got := sweep(w); got != serial {
-			t.Errorf("workers=%s output differs from serial:\n%s\nvs\n%s", w, got, serial)
-		}
+}
+
+// TestRunNoisyStoreEntryPassesAudit: a noisy sweep spilled by a parallel
+// -workers run must replay exactly under the store audit, which re-measures
+// every entry serially.
+func TestRunNoisyStoreEntryPassesAudit(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-kernel", "virtual", "-device", "fast",
+		"-lo", "16", "-hi", "60000", "-n", "40", "-noise", "0.05",
+		"-min-reps", "1", "-max-reps", "1", "-workers", "4", "-store-dir", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	audit, err := verify.AuditStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audit.Verified != 1 || len(audit.Violations) != 0 {
+		t.Fatalf("audit: %d verified, %d violations", audit.Verified, len(audit.Violations))
 	}
 }

@@ -51,6 +51,8 @@ func PerfSuite() []PerfBenchmark {
 		{Name: "modelstore/load-ref", F: benchStoreLoad((*modelstore.Store).LoadRef)},
 		{Name: "transfer/acquire", F: benchTransferAcquire},
 		{Name: "transfer/similar", F: benchTransferSimilar},
+		{Name: "modelstore/donors", F: benchStoreDonors(indexedDonors)},
+		{Name: "modelstore/donors-ref", F: benchStoreDonors(fullReadDonors)},
 		{Name: "matpart/oracle-dp", F: benchMatpartOracle},
 		{Name: "matpart/fpmgrid", F: benchMatpartFPMGrid},
 	}
@@ -374,6 +376,83 @@ func benchTransferSimilar(b *testing.B) {
 			b.Fatal("similarity search returned no candidates")
 		}
 		sink += cands[0].Distance
+	}
+}
+
+// donorSearch is one transfer fill's donor search: the top candidates for
+// a cold key's probes.
+type donorSearch func(st *modelstore.Store, cold modelstore.Key, probes []core.Point) ([]transfer.Candidate, error)
+
+// indexedDonors searches the store's index: refresh, rank by cached
+// fingerprint, read the top candidates' points.
+func indexedDonors(st *modelstore.Store, cold modelstore.Key, probes []core.Point) ([]transfer.Candidate, error) {
+	donors, err := st.Donors(cold)
+	if err != nil {
+		return nil, err
+	}
+	return donors.Rank(probes, transfer.DefaultCandidates), nil
+}
+
+// fullReadDonors is the reference search: decode every file, then
+// fingerprint and rank every curve.
+func fullReadDonors(st *modelstore.Store, cold modelstore.Key, probes []core.Point) ([]transfer.Candidate, error) {
+	pool, err := st.DonorPool(cold)
+	if err != nil {
+		return nil, err
+	}
+	return transfer.Rank(pool, probes, transfer.DefaultCandidates), nil
+}
+
+// donorStoreEntries is the populated store both donor searches run on: a
+// warm fleet's worth of 40-size full sweeps.
+const donorStoreEntries = 1000
+
+// benchStoreDonors measures the donor search a transfer fill makes, in
+// the steady state: the first search (which builds the index) runs before
+// the timer starts.
+func benchStoreDonors(search donorSearch) func(b *testing.B) {
+	return func(b *testing.B) {
+		dir, err := os.MkdirTemp("", "fupermod-perf-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		st, err := modelstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prec := modelstore.EncodePrecision(core.Precision{MinReps: 1, MaxReps: 1, Confidence: 0.95, RelErr: 0.05})
+		key := func(device string) modelstore.Key {
+			return modelstore.Key{Tenant: "default", Device: device, Seed: 1,
+				Lo: 16, Hi: 60000, N: 40, Prec: prec}
+		}
+		donors := transferDonorPool(transferProcs(64))
+		for i := 0; i < donorStoreEntries; i++ {
+			pts := append([]core.Point(nil), donors[i%len(donors)].Points...)
+			for j := range pts {
+				pts[j].Time *= 1 + float64(i)/donorStoreEntries
+			}
+			if err := st.Put(key(fmt.Sprintf("dev-%d", i)), "gemm-b128", pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		full := donors[5].Points
+		probes := []core.Point{full[0], full[13], full[26], full[39]}
+		cold := key("cold")
+		if _, err := search(st, cold, probes); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cands, err := search(st, cold, probes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(cands) != transfer.DefaultCandidates {
+				b.Fatalf("donor search returned %d candidates", len(cands))
+			}
+			sink += cands[0].Distance
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,7 +103,12 @@ func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commT
 // invokes run exactly once and publishes the result to everyone. Partition
 // solves, dynamic-partition runs and balance replays all route through
 // here with disjoint key spaces.
-func (sh *shard) batched(key string, run func() (any, error)) (any, error) {
+//
+// A panicking run is contained on the leader path, as modelstore.FillProv
+// contains a panicking sweep: the recovered panic becomes the batch's
+// error and the batch is published anyway, so no follower stays blocked
+// on a run that can no longer finish.
+func (sh *shard) batched(key string, run func() (any, error)) (val any, err error) {
 	if sh.batchWindow <= 0 {
 		return run()
 	}
@@ -139,8 +145,14 @@ func (sh *shard) batched(key string, run func() (any, error)) (any, error) {
 	delete(sh.batches, key)
 	sh.batchMu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			call.val, call.err = nil, fmt.Errorf("service: batched run panicked: %v", r)
+			val, err = call.val, call.err
+		}
+		close(call.done)
+	}()
 	call.val, call.err = run()
-	close(call.done)
 	return call.val, call.err
 }
 

@@ -3,19 +3,16 @@ package modelstore
 import (
 	"fmt"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
 
-	"fupermod/internal/core"
 	"fupermod/internal/transfer"
 )
 
 // This file is the store side of cross-device model transfer
 // (internal/transfer): the on-disk sweep database doubles as the donor
-// pool a cold (tenant, device) pair warm-starts from, and the
-// curve-similarity search ranks that pool by shape fingerprint against
-// the cold device's first probes.
+// pool a cold (tenant, device) pair warm-starts from. The curve-similarity
+// search that ranks that pool by shape fingerprint against the cold
+// device's first probes runs on the index (index.go).
 
 // DonorID renders a stored entry's identity as the printable-ASCII donor
 // string used in transfer provenance: tenant and device url-escaped, the
@@ -34,6 +31,9 @@ func DonorID(k Key) string {
 // transfer provenance disqualifies an entry as a donor. Corrupt files are
 // skipped (the fill path heals them); the pool is sorted by DonorID so
 // two replicas scanning the same directory rank identically.
+//
+// DonorPool reads every file. Fills search the index instead (Donors);
+// DonorPool is the reference that search is tested against.
 func (s *Store) DonorPool(exclude Key) ([]transfer.Donor, error) {
 	entries, _, err := s.Load()
 	if err != nil {
@@ -48,17 +48,6 @@ func (s *Store) DonorPool(exclude Key) ([]transfer.Donor, error) {
 	}
 	sort.Slice(donors, func(i, j int) bool { return donors[i].ID < donors[j].ID })
 	return donors, nil
-}
-
-// SimilarCurves is the store's curve-similarity search: rank the donor
-// pool (excluding the key being filled) by fingerprint distance to the
-// probed curve and return at most max candidates (max <= 0 returns all).
-func (s *Store) SimilarCurves(exclude Key, probes []core.Point, max int) ([]transfer.Candidate, error) {
-	donors, err := s.DonorPool(exclude)
-	if err != nil {
-		return nil, err
-	}
-	return transfer.Rank(donors, probes, max), nil
 }
 
 // StoreStats is a point-in-time census of the store directory.
@@ -91,37 +80,31 @@ func (s *StoreStats) Add(o StoreStats) {
 	}
 }
 
-// Stats walks the store directory and reports its census. It reads every
-// entry (the store has no in-memory index — the directory is the index),
-// so it is a stats-endpoint operation, not a hot-path one.
+// Stats reports the store census from the index (index.go): the same
+// refresh a donor query makes — one directory listing, one stat per entry
+// file, a decode only for files new or changed since the last query — then
+// a count over the records.
 func (s *Store) Stats() (StoreStats, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.points"))
-	if err != nil {
-		return StoreStats{}, fmt.Errorf("modelstore: %w", err)
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if err := s.refreshLocked(); err != nil {
+		return StoreStats{}, err
 	}
 	st := StoreStats{}
-	for _, path := range names {
-		if fi, err := os.Stat(path); err == nil {
-			st.Bytes += fi.Size()
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			st.CorruptFiles++
-			continue
-		}
-		e, err := Decode(path, data)
-		if err != nil {
+	for _, sl := range s.idx {
+		st.Bytes += sl.sig.size
+		if sl.rec.corrupt {
 			st.CorruptFiles++
 			continue
 		}
 		st.Entries++
-		if e.Transfer != "" {
+		if sl.rec.transferred {
 			st.Transferred++
 		}
 		if st.Tenants == nil {
 			st.Tenants = make(map[string]int64)
 		}
-		st.Tenants[e.Key.Tenant]++
+		st.Tenants[sl.rec.key.Tenant]++
 	}
 	return st, nil
 }

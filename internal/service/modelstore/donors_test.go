@@ -133,10 +133,11 @@ func TestSimilarCurvesRanksByShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := curvePoints(5) // same shape as smoothK, different scale
-	cands, err := s.SimilarCurves(testKey("cold", "new"), probes, 0)
+	donors, err := s.Donors(testKey("cold", "new"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := donors.Rank(probes, 0)
 	if len(cands) != 2 {
 		t.Fatalf("want 2 candidates, got %d", len(cands))
 	}
@@ -146,8 +147,8 @@ func TestSimilarCurvesRanksByShape(t *testing.T) {
 	if cands[0].Distance >= cands[1].Distance {
 		t.Fatalf("distances not ordered: %g vs %g", cands[0].Distance, cands[1].Distance)
 	}
-	if top, err := s.SimilarCurves(testKey("cold", "new"), probes, 1); err != nil || len(top) != 1 {
-		t.Fatalf("max=1: got %d candidates, err %v", len(top), err)
+	if top := donors.Rank(probes, 1); len(top) != 1 {
+		t.Fatalf("max=1: got %d candidates", len(top))
 	}
 }
 

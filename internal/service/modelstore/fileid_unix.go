@@ -1,0 +1,16 @@
+//go:build unix
+
+package modelstore
+
+import (
+	"os"
+	"syscall"
+)
+
+// fileID returns the device and inode numbers that identify fi's file.
+func fileID(fi os.FileInfo) (dev, ino uint64) {
+	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
+		return uint64(st.Dev), uint64(st.Ino)
+	}
+	return 0, 0
+}

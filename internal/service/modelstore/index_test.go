@@ -1,0 +1,389 @@
+package modelstore
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"fupermod/internal/core"
+	"fupermod/internal/transfer"
+)
+
+// shapePoints samples a speed curve whose shape is set by the exponent p
+// and, when knee > 0, a cliff past the knee; scale changes the speed only.
+func shapePoints(scale, p float64, knee int) []core.Point {
+	sizes := core.LogSizes(16, 5000, 20)
+	pts := make([]core.Point, len(sizes))
+	for i, d := range sizes {
+		tm := scale * 1e-6 * math.Pow(float64(d), p)
+		if knee > 0 && d > knee {
+			tm *= 1 + float64(d-knee)/float64(knee)
+		}
+		pts[i] = core.Point{D: d, Time: tm, Reps: 2}
+	}
+	return pts
+}
+
+// writeExternal writes one entry the way another process sharing the
+// directory would — its own temp file and rename, not this handle's Put.
+func writeExternal(t *testing.T, s *Store, k Key, pts []core.Point, prov string) {
+	t.Helper()
+	data, err := encode(k, "k", pts, prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(s.Dir(), ".external-write")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, s.Path(k)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refCensus is the census Stats took before the index: stat, read and
+// decode every file.
+func refCensus(t *testing.T, s *Store) StoreStats {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(s.Dir(), "*.points"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := StoreStats{}
+	for _, path := range names {
+		if fi, err := os.Stat(path); err == nil {
+			st.Bytes += fi.Size()
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			st.CorruptFiles++
+			continue
+		}
+		e, err := Decode(path, data)
+		if err != nil {
+			st.CorruptFiles++
+			continue
+		}
+		st.Entries++
+		if e.Transfer != "" {
+			st.Transferred++
+		}
+		if st.Tenants == nil {
+			st.Tenants = make(map[string]int64)
+		}
+		st.Tenants[e.Key.Tenant]++
+	}
+	return st
+}
+
+// sameCandidates reports where an indexed ranking departs from the
+// reference: IDs and distances (bitwise) in order, and points in order
+// except within a run of full ties (same ID and distance), whose order
+// neither ranking specifies.
+func sameCandidates(got, want []transfer.Candidate) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d candidates, reference has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Donor.ID != want[i].Donor.ID ||
+			math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+			return fmt.Errorf("candidate %d: %s at %v, reference %s at %v",
+				i, got[i].Donor.ID, got[i].Distance, want[i].Donor.ID, want[i].Distance)
+		}
+	}
+	for i := 0; i < len(want); {
+		j := i + 1
+		for j < len(want) && want[j].Donor.ID == want[i].Donor.ID && want[j].Distance == want[i].Distance {
+			j++
+		}
+		used := make([]bool, j-i)
+		for _, g := range got[i:j] {
+			found := false
+			for x, w := range want[i:j] {
+				if !used[x] && reflect.DeepEqual(g.Donor.Points, w.Donor.Points) {
+					used[x], found = true, true
+					break
+				}
+			}
+			if !found {
+				return fmt.Errorf("candidate %s: points differ from the reference", g.Donor.ID)
+			}
+		}
+		i = j
+	}
+	return nil
+}
+
+// indexProbes are the probe sets every equivalence check ranks against:
+// a rescaled copy of a stored shape, a shape no donor has, and a single
+// point (no shape: every distance is 0 and the order is by ID).
+var indexProbes = [][]core.Point{
+	func() []core.Point {
+		full := shapePoints(3, 1.1, 0)
+		return []core.Point{full[0], full[6], full[13], full[19]}
+	}(),
+	func() []core.Point {
+		full := shapePoints(1, 1.3, 600)
+		return []core.Point{full[0], full[4], full[9], full[14], full[19]}
+	}(),
+	{{D: 64, Time: 1e-3, Reps: 1}},
+}
+
+// checkIndexMatchesRef pins the indexed search to transfer.Rank over the
+// full-read DonorPool for every probe set and candidate count, and the
+// index census to the full-read one.
+func checkIndexMatchesRef(t *testing.T, s *Store, exclude Key, step string) {
+	t.Helper()
+	pool, err := s.DonorPool(exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donors, err := s.Donors(exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if donors.Len() != len(pool) {
+		t.Fatalf("%s: snapshot holds %d donors, DonorPool %d", step, donors.Len(), len(pool))
+	}
+	for pi, probes := range indexProbes {
+		for _, k := range []int{0, 1, 2, 4} {
+			if err := sameCandidates(donors.Rank(probes, k), transfer.Rank(pool, probes, k)); err != nil {
+				t.Fatalf("%s: probes %d, k=%d: %v", step, pi, k, err)
+			}
+		}
+	}
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := refCensus(t, s); !reflect.DeepEqual(st, ref) {
+		t.Fatalf("%s: census %+v, full read %+v", step, st, ref)
+	}
+}
+
+// TestDonorIndexMatchesDonorPool: the index answers exactly what a full
+// re-read answers, on a store holding every kind of non-donor, and after
+// each change another writer makes to the directory behind its back.
+func TestDonorIndexMatchesDonorPool(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := testKey("cold", "new-device")
+	put := func(k Key, pts []core.Point, prov string) {
+		t.Helper()
+		if err := s.PutTransfer(k, "k", pts, prov); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(self, shapePoints(3, 1.1, 0), "")
+	shapes := []struct {
+		p    float64
+		knee int
+	}{{1.1, 0}, {1.0, 0}, {1.2, 0}, {1.1, 300}, {0.9, 2000}, {1.3, 600}}
+	for i, sh := range shapes {
+		put(testKey("warm", fmt.Sprintf("dev-%d", i)), shapePoints(float64(i+1), sh.p, sh.knee), "")
+	}
+	put(testKey("warm", "copied"), shapePoints(2, 1.1, 0), "donor=x scale=2")
+	put(testKey("warm", "one-point"), []core.Point{{D: 16, Time: 1, Reps: 1}}, "")
+	put(testKey("warm", "one-size"), []core.Point{{D: 64, Time: 1, Reps: 1}, {D: 64, Time: 1.1, Reps: 1}}, "")
+	torn := testKey("warm", "torn")
+	put(torn, shapePoints(1, 1.05, 0), "")
+	data, err := os.ReadFile(s.Path(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.Path(torn), data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The same DonorID under another precision: a distinct entry and file.
+	// The twins sort last by ID, so no candidate count splits their tie
+	// under the shapeless probe set.
+	twin := testKey("zz-twin", "fast")
+	put(twin, shapePoints(1, 1.15, 0), "")
+	twinPrec := twin
+	twinPrec.Prec = EncodePrecision(core.Precision{MinReps: 1, MaxReps: 1, Confidence: 0.95, RelErr: 0.05})
+	put(twinPrec, shapePoints(1, 1.25, 0), "")
+	if DonorID(twin) != DonorID(twinPrec) || s.Path(twin) == s.Path(twinPrec) {
+		t.Fatal("twins should share a DonorID and not a file")
+	}
+	pool, err := s.DonorPool(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneSize := false
+	for _, d := range pool {
+		oneSize = oneSize || d.ID == DonorID(testKey("warm", "one-size"))
+	}
+	if !oneSize {
+		t.Fatal("the single-size entry should be in the pool: it may donate but cannot be ranked")
+	}
+	checkIndexMatchesRef(t, s, self, "initial")
+
+	// Another writer changes the directory between queries.
+	added := testKey("ext", "added")
+	writeExternal(t, s, added, shapePoints(5, 1.1, 0), "")
+	checkIndexMatchesRef(t, s, self, "add")
+
+	if err := os.Remove(s.Path(testKey("warm", "dev-1"))); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexMatchesRef(t, s, self, "delete")
+
+	writeExternal(t, s, testKey("warm", "dev-0"), shapePoints(1, 1.3, 600), "")
+	checkIndexMatchesRef(t, s, self, "replace")
+
+	dev2 := s.Path(testKey("warm", "dev-2"))
+	fi, err := os.Stat(dev2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(dev2, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexMatchesRef(t, s, self, "truncate in place")
+
+	writeExternal(t, s, testKey("warm", "dev-3"), shapePoints(4, 1.1, 300), "donor=y scale=4")
+	checkIndexMatchesRef(t, s, self, "now transferred")
+
+	writeExternal(t, s, torn, shapePoints(1, 1.05, 0), "")
+	checkIndexMatchesRef(t, s, self, "heal")
+
+	if err := os.Mkdir(filepath.Join(s.Dir(), "directory.points"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexMatchesRef(t, s, self, "unreadable name")
+
+	// Excluding another key drops that entry and restores the self key.
+	checkIndexMatchesRef(t, s, added, "other exclusion")
+}
+
+// TestDonorsSkipsStaleTopDonors: files that stop being donors after the
+// snapshot was taken are skipped when their points are read, and the
+// next-ranked donors take their places.
+func TestDonorsSkipsStaleTopDonors(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := testKey("cold", "new-device")
+	for i, p := range []float64{1.1, 1.0, 1.2, 0.9, 1.3, 1.05} {
+		if err := s.Put(testKey("warm", fmt.Sprintf("dev-%d", i)), "k", shapePoints(float64(i+1), p, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	donors, err := s.Donors(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := indexProbes[0]
+	before := donors.Rank(probes, 2)
+	if len(before) != 2 {
+		t.Fatalf("want 2 candidates, got %d", len(before))
+	}
+	keyOf := func(id string) Key {
+		for i := 0; i < 6; i++ {
+			if k := testKey("warm", fmt.Sprintf("dev-%d", i)); DonorID(k) == id {
+				return k
+			}
+		}
+		t.Fatalf("no key for %s", id)
+		return Key{}
+	}
+	first, second := keyOf(before[0].Donor.ID), keyOf(before[1].Donor.ID)
+	if err := os.Truncate(s.Path(first), 10); err != nil {
+		t.Fatal(err)
+	}
+	writeExternal(t, s, second, before[1].Donor.Points, "donor=z scale=1")
+
+	pool, err := s.DonorPool(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 2, 4} {
+		if err := sameCandidates(donors.Rank(probes, k), transfer.Rank(pool, probes, k)); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// TestDonorIndexConcurrentWriters runs donor queries and census reads
+// beside Puts through the handle and writes by another writer; run it with
+// -race -count=10. Once the writers stop, the index must agree with a full
+// re-read.
+func TestDonorIndexConcurrentWriters(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := testKey("cold", "new-device")
+	for i := 0; i < 4; i++ {
+		if err := s.Put(testKey("warm", fmt.Sprintf("seed-%d", i)), "k", shapePoints(float64(i+1), 1+0.05*float64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 20
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() { // Puts through this handle
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := s.Put(testKey("put", fmt.Sprintf("dev-%d", i)), "k", shapePoints(1, 1+0.01*float64(i), 0)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // another process: add, rewrite, remove
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			k := testKey("ext", fmt.Sprintf("dev-%d", i%5))
+			data, err := encode(k, "k", shapePoints(2, 1+0.02*float64(i), 0), "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tmp := filepath.Join(s.Dir(), fmt.Sprintf(".ext-%d", i))
+			if err := os.WriteFile(tmp, data, 0o644); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := os.Rename(tmp, s.Path(k)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%3 == 2 {
+				os.Remove(s.Path(testKey("ext", fmt.Sprintf("dev-%d", (i+1)%5))))
+			}
+		}
+	}()
+	go func() { // donor queries
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			donors, err := s.Donors(self)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if donors.Len() == 0 || len(donors.Rank(indexProbes[i%len(indexProbes)], 4)) == 0 {
+				t.Error("the seeded donors should always rank")
+				return
+			}
+		}
+	}()
+	go func() { // census reads
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := s.Stats(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	checkIndexMatchesRef(t, s, self, "after the writers")
+}

@@ -207,6 +207,12 @@ type Store struct {
 	// this table is the cross-replica single-flight.
 	flightMu sync.Mutex
 	flights  map[string]*flight
+
+	// idxMu guards the index (index.go): idx maps each *.points file name
+	// to its slot, and gen counts refreshes.
+	idxMu sync.Mutex
+	idx   map[string]slot
+	gen   uint64
 }
 
 // Open creates (if necessary) and opens the store directory. Every Open of

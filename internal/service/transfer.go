@@ -15,7 +15,10 @@ import (
 // acquireKey is the transfer-enabled counterpart of sweepKey: it runs
 // inside the store's single-flight fill for a cold key and tries to
 // warm-start the model from the store's nearest-fingerprint donor curve
-// before paying for a full sweep.
+// before paying for a full sweep. One snapshot of the store's donor index
+// serves the whole fill: it decides the empty-pool fallback before any
+// probe, then ranks by cached fingerprint and reads the points of the top
+// Candidates donors only.
 //
 // The fallback contract matters more than the happy path: whenever
 // transfer declines (empty donor pool, residual gate, divergence), the
@@ -26,9 +29,9 @@ import (
 // byte-identical to running with -transfer off, which the edge-case tests
 // assert end to end.
 func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelstore.Key) (modelstore.Swept, error) {
-	donors, err := sh.store.DonorPool(sk)
-	if err != nil || len(donors) == 0 {
-		// An unreadable donor pool is a reason to not transfer, never a
+	donors, err := sh.store.Donors(sk)
+	if err != nil || donors.Len() == 0 {
+		// An unreadable donor index is a reason to not transfer, never a
 		// reason to fail the fill.
 		sh.stats.transferFallbacks.Add(1)
 		return sh.sweptKey(tenant, key, sizes)
@@ -44,9 +47,10 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 		return modelstore.Swept{}, err
 	}
 	cfg := transfer.Config{
-		Probes: sh.transferProbes,
-		Budget: sh.transferBudget,
-		Tol:    sh.transferTol,
+		Probes:     sh.transferProbes,
+		Budget:     sh.transferBudget,
+		Tol:        sh.transferTol,
+		Candidates: transfer.DefaultCandidates,
 	}
 	var res *transfer.Result
 	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
@@ -55,7 +59,7 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 			return core.Benchmark(k, d, sh.precision)
 		}
 		var aerr error
-		res, aerr = transfer.Acquire(sizes, prober, transfer.Pool(donors, 0), cfg)
+		res, aerr = transfer.Acquire(sizes, prober, donors.Source(cfg.Candidates), cfg)
 		return aerr
 	})
 	if err != nil {

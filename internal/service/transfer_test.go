@@ -2,10 +2,17 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
 	"fupermod/internal/core"
+	"fupermod/internal/service/modelstore"
+	"fupermod/internal/transfer"
 )
 
 // transferGrid is large enough that the default probe budget (a quarter of
@@ -214,6 +221,116 @@ func TestTransferColdStartStormSingleFlight(t *testing.T) {
 		t.Fatalf("storm must transfer exactly once across the fleet, got %d", runs)
 	}
 	_, _ = svcA, svcB
+}
+
+// TestTransferDonorIndexRace runs donor queries beside Puts and transfer
+// fills from two servers sharing one store directory; run it with -race
+// -count=10. Once the writers stop, the index must rank exactly as a full
+// re-read of the store does.
+func TestTransferDonorIndexRace(t *testing.T) {
+	dir := t.TempDir()
+	seedDonor(t, dir, MeasureRequest{Tenant: "warm", Device: DeviceSpec{Preset: "fast", Seed: 1}, Grid: transferGrid})
+	seedDonor(t, dir, MeasureRequest{Tenant: "warm", Device: DeviceSpec{Preset: "slow", Seed: 1}, Grid: transferGrid})
+	_, tsA := newTestServer(t, Config{StoreDir: dir, Transfer: true})
+	_, tsB := newTestServer(t, Config{StoreDir: dir, Transfer: true})
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := logSizesForTest(transferGrid)
+	curve := func(scale, p float64) []core.Point {
+		pts := make([]core.Point, len(sizes))
+		for i, d := range sizes {
+			pts[i] = core.Point{D: d, Time: scale * 1e-7 * math.Pow(float64(d), p), Reps: 1}
+		}
+		return pts
+	}
+	storeKey := func(tenant string, seed int64) modelstore.Key {
+		return modelstore.Key{Tenant: tenant, Device: "fast", Seed: seed,
+			Lo: transferGrid.Lo, Hi: transferGrid.Hi, N: transferGrid.N,
+			Prec: modelstore.EncodePrecision(DefaultSweepPrecision)}
+	}
+	exclude := storeKey("probe", 99)
+	full := curve(3, 1.1)
+	probes := []core.Point{full[0], full[13], full[26], full[39]}
+
+	const rounds = 6
+	var wg sync.WaitGroup
+	for i, url := range []string{tsA.URL, tsB.URL} {
+		wg.Add(1)
+		go func(i int, url string) { // transfer fills, distinct cold keys
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				body, err := json.Marshal(MeasureRequest{Tenant: fmt.Sprintf("cold-%d-%d", i, j),
+					Device: DeviceSpec{Preset: []string{"fast", "slow"}[j%2], Seed: int64(j + 2)}, Grid: transferGrid})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(url+"/v1/measure", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("fill %d/%d: status %d", i, j, resp.StatusCode)
+				}
+			}
+		}(i, url)
+	}
+	wg.Add(2)
+	go func() { // Puts through the shared handle
+		defer wg.Done()
+		for j := 0; j < rounds; j++ {
+			if err := store.Put(storeKey(fmt.Sprintf("put-%d", j), 1), "k", curve(float64(j+1), 1+0.05*float64(j))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // donor queries and census reads
+		defer wg.Done()
+		for j := 0; j < 2*rounds; j++ {
+			donors, err := store.Donors(exclude)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if donors.Len() == 0 || len(donors.Rank(probes, transfer.DefaultCandidates)) == 0 {
+				t.Error("the seeded donors should always rank")
+				return
+			}
+			if _, err := store.Stats(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if runs := getStats(t, tsA.URL).TransferRuns + getStats(t, tsB.URL).TransferRuns; runs == 0 {
+		t.Fatal("no fill transferred: the donor search never ran beside the writers")
+	}
+
+	pool, err := store.DonorPool(exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donors, err := store.Donors(exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := donors.Rank(probes, 0), transfer.Rank(pool, probes, 0)
+	if len(got) != len(want) {
+		t.Fatalf("index ranks %d donors, full re-read %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Donor.ID != want[i].Donor.ID || got[i].Distance != want[i].Distance ||
+			!reflect.DeepEqual(got[i].Donor.Points, want[i].Donor.Points) {
+			t.Fatalf("candidate %d: index %s at %v, full re-read %s at %v",
+				i, got[i].Donor.ID, got[i].Distance, want[i].Donor.ID, want[i].Distance)
+		}
+	}
 }
 
 func TestNewRejectsTransferWithoutStore(t *testing.T) {

@@ -29,7 +29,9 @@ package transfer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"fupermod/internal/core"
 )
@@ -181,29 +183,62 @@ type Candidate struct {
 // max candidates (max <= 0 returns all). Donors whose points cannot be
 // fingerprinted are dropped.
 func Rank(donors []Donor, probes []core.Point, max int) []Candidate {
-	pfp, perr := FingerprintPoints(probes)
+	r := NewRanker(probes)
 	out := make([]Candidate, 0, len(donors))
 	for _, d := range donors {
 		dfp, err := FingerprintPoints(d.Points)
 		if err != nil {
 			continue
 		}
-		dist := 0.0
-		if perr == nil {
-			dist = pfp.Distance(dfp)
-		}
-		out = append(out, Candidate{Donor: d, Distance: dist})
+		out = append(out, Candidate{Donor: d, Distance: r.Distance(dfp)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		return out[i].Donor.ID < out[j].Donor.ID
-	})
+	SortRanked(out, func(c Candidate) (float64, string) { return c.Distance, c.Donor.ID })
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
 	return out
+}
+
+// Ranker is the distance half of Rank's order for one probe set. A caller
+// holding cached donor fingerprints (the model store's donor index) ranks
+// through it and SortRanked exactly as Rank does, without re-fingerprinting
+// any curve.
+type Ranker struct {
+	probe Fingerprint
+	ok    bool // the probes have a shape; otherwise every distance is 0
+}
+
+// NewRanker fingerprints the probed curve.
+func NewRanker(probes []core.Point) Ranker {
+	fp, err := FingerprintPoints(probes)
+	return Ranker{probe: fp, ok: err == nil}
+}
+
+// Distance is a donor fingerprint's distance to the probed curve. Probes
+// without a shape (fewer than two distinct sizes) put every donor at 0, so
+// the order falls to the ID tie-break.
+func (r Ranker) Distance(donor Fingerprint) float64 {
+	if !r.ok {
+		return 0
+	}
+	return r.probe.Distance(donor)
+}
+
+// SortRanked sorts items into Rank's order: nearest first, ties broken by
+// donor ID, full ties kept in input order. key returns an item's distance
+// and donor ID.
+func SortRanked[T any](items []T, key func(T) (float64, string)) {
+	slices.SortStableFunc(items, func(a, b T) int {
+		da, ida := key(a)
+		db, idb := key(b)
+		if da != db {
+			if da < db {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(ida, idb)
+	})
 }
 
 // Pool adapts a fixed donor slice into a DonorSource: rank by fingerprint
@@ -219,8 +254,8 @@ type Prober = core.Prober
 
 // DonorSource supplies ranked donor candidates once the initial probes are
 // measured (the probes are what the fingerprint search keys on). The
-// service backs this with the model store's curve-similarity search; tests
-// and the bench CLI use Pool.
+// service and the bench CLI back this with a snapshot of the model store's
+// donor index (modelstore.Donors); tests use Pool.
 type DonorSource func(probes []core.Point) ([]Candidate, error)
 
 // Config parametrises Acquire. Zero fields select the defaults above.
