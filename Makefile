@@ -6,7 +6,7 @@
 GO       ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all tier1 tier2 build test vet race fuzz-smoke service route rebalance transfer matpart commmodel verify perf-smoke update-golden
+.PHONY: all tier1 tier2 build test vet race fuzz-smoke service route rebalance transfer matpart commmodel verify perf-smoke e2ebench-check update-golden
 
 all: tier1
 
@@ -16,8 +16,9 @@ tier1: build test
 ## tier2: tier1 plus vet, -race, fuzz smokes, the partition service
 ## gate, the routing-tier gate, the rebalancing gate, the model-transfer
 ## gate, the 2D matrix-partitioning gate, the communication-model gate,
-## the verification suite and the perf-suite smoke
-tier2: tier1 vet race fuzz-smoke service route rebalance transfer matpart commmodel verify perf-smoke
+## the verification suite, the perf-suite smoke and the benchmark-module
+## check
+tier2: tier1 vet race fuzz-smoke service route rebalance transfer matpart commmodel verify perf-smoke e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -108,6 +109,13 @@ verify:
 perf-smoke:
 	$(GO) run ./cmd/fupermod-bench -perf -benchtime 1x -o /tmp/fupermod-perf-smoke.json
 	$(GO) run ./cmd/fupermod-bench -perf -diff /tmp/fupermod-perf-smoke.json /tmp/fupermod-perf-smoke.json
+
+## e2ebench-check: vet + test the end-to-end benchmark module. e2ebench/
+## is a Go module of its own, so `go test ./...` never compiles it against
+## the service surface it drives; it runs in the environment
+## e2ebench/run.sh builds in (no workspace, no module proxy)
+e2ebench-check:
+	cd e2ebench && export GOFLAGS= GOWORK=off GOPROXY=off && $(GO) vet ./... && $(GO) test ./...
 
 ## update-golden: rewrite the golden files under internal/trace/testdata,
 ## the perf-snapshot schema golden under internal/bench/testdata, and the

@@ -14,9 +14,9 @@ package bench
 //
 // Every optimized hot path tracked by the suite keeps its unoptimized
 // reference implementation (Oracle/OracleRef, Linear.At/AtRef,
-// WritePoints/WritePointsRef, EncodeJSON/EncodeJSONRef,
-// Decode/DecodeRef), so a snapshot carries its own before/after pair and
-// equivalence tests pin the fast path to the reference byte-for-byte.
+// WritePoints/WritePointsRef, Decode/DecodeRef), so a snapshot carries
+// its own before/after pair and equivalence tests pin the fast path to
+// the reference byte-for-byte.
 
 import (
 	"encoding/json"

@@ -393,12 +393,18 @@ func TestPerfSuiteShape(t *testing.T) {
 		}
 	}
 	for _, optimized := range []string{"verify/oracle-dp", "model/piecewise-eval",
-		"model/write-points", "service/json-roundtrip", "modelstore/decode"} {
+		"model/write-points", "modelstore/decode"} {
 		if !names[optimized] {
 			t.Errorf("suite is missing tracked benchmark %s", optimized)
 		}
 		if !names[optimized+"-ref"] {
 			t.Errorf("suite is missing reference twin %s-ref", optimized)
+		}
+	}
+	// The service rows are tracked without a twin.
+	for _, tracked := range []string{"service/json-roundtrip", "service/batch-key"} {
+		if !names[tracked] {
+			t.Errorf("suite is missing tracked benchmark %s", tracked)
 		}
 	}
 }

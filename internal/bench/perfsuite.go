@@ -42,8 +42,7 @@ func PerfSuite() []PerfBenchmark {
 		{Name: "model/piecewise-eval-ref", F: benchPiecewiseEval((*model.Piecewise).TimeRef)},
 		{Name: "model/write-points", F: benchWritePoints(model.WritePoints)},
 		{Name: "model/write-points-ref", F: benchWritePoints(model.WritePointsRef)},
-		{Name: "service/json-roundtrip", F: benchJSONRoundtrip(service.EncodeJSON, service.DecodeJSON)},
-		{Name: "service/json-roundtrip-ref", F: benchJSONRoundtrip(service.EncodeJSONRef, service.DecodeJSONRef)},
+		{Name: "service/json-roundtrip", F: benchJSONRoundtrip},
 		{Name: "service/batch-key", F: benchBatchKey},
 		{Name: "modelstore/decode", F: benchStoreDecode(modelstore.Decode)},
 		{Name: "modelstore/decode-ref", F: benchStoreDecode(modelstore.DecodeRef)},
@@ -236,25 +235,23 @@ func perfPartitionResponse() service.PartitionResponse {
 	}
 }
 
-func benchJSONRoundtrip(encode func(io.Writer, any) error, decode func(io.Reader, any) error) func(b *testing.B) {
-	return func(b *testing.B) {
-		var reqBuf bytes.Buffer
-		if err := service.EncodeJSONRef(&reqBuf, perfPartitionRequest()); err != nil {
+func benchJSONRoundtrip(b *testing.B) {
+	var reqBuf bytes.Buffer
+	if err := service.EncodeJSON(&reqBuf, perfPartitionRequest()); err != nil {
+		b.Fatal(err)
+	}
+	reqBytes := reqBuf.Bytes()
+	resp := perfPartitionResponse()
+	rd := bytes.NewReader(reqBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(reqBytes)
+		var req service.PartitionRequest
+		if err := service.DecodeJSON(rd, &req); err != nil {
 			b.Fatal(err)
 		}
-		reqBytes := reqBuf.Bytes()
-		resp := perfPartitionResponse()
-		rd := bytes.NewReader(reqBytes)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rd.Reset(reqBytes)
-			var req service.PartitionRequest
-			if err := decode(rd, &req); err != nil {
-				b.Fatal(err)
-			}
-			if err := encode(io.Discard, &resp); err != nil {
-				b.Fatal(err)
-			}
+		if err := service.EncodeJSON(io.Discard, &resp); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

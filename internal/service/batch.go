@@ -7,10 +7,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"fupermod/internal/core"
-	"fupermod/internal/partition"
-	"fupermod/internal/pool"
 )
 
 // adaptiveWindow adjusts the batch window to the observed partition
@@ -57,23 +53,48 @@ func (a *adaptiveWindow) observe(now time.Time) time.Duration {
 	}
 }
 
-// batchCall is one in-flight batched operation shared by every request
-// with the same batch key. done is closed after the run; val and err must
-// only be read afterwards. The value is shared read-only — each request
-// marshals its own response from it.
-type batchCall struct {
+// call is one in-flight computation shared by every caller of its key: a
+// cache fill, a comm calibration, a batched solve. val and err are read,
+// shared, only after done is closed. A panicking run publishes the panic
+// as its error, so no waiter blocks on it and no key keeps its result.
+type call[T any] struct {
 	done chan struct{}
-	val  any
+	val  T
 	err  error
+}
+
+func newCall[T any]() *call[T] { return &call[T]{done: make(chan struct{})} }
+
+// run executes f once, publishes its outcome and wakes every waiter.
+func (c *call[T]) run(f func() (T, error)) (T, error) {
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				c.err = fmt.Errorf("service: run panicked: %v", r)
+			}
+		}()
+		c.val, c.err = f()
+	}()
+	close(c.done)
+	return c.val, c.err
+}
+
+// wait blocks until the call is published or ctx (a shard's life) ends.
+func (c *call[T]) wait(ctx context.Context) (T, error) {
+	select {
+	case <-c.done:
+		return c.val, c.err
+	case <-ctx.Done():
+		var zero T
+		return zero, fmt.Errorf("service: shutting down: %w", ctx.Err())
+	}
 }
 
 // BatchKey fingerprints everything that determines a partition result:
 // the operation, the tenant, the resolved model cache keys in device
 // order, the algorithm, and the problem size. Requests agreeing on all of
-// these are answered by a single solver call. op keeps the key spaces of
-// the different batched endpoints (partition, dynpart, balance) disjoint.
-// It is exported so the perf harness (internal/bench) can track its cost —
-// the key is computed on every batched request.
+// these are answered by a single solver call. It is exported so the perf
+// harness (internal/bench) can track its cost.
 func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commTag string) string {
 	var b strings.Builder
 	b.Grow(64 + len(op) + len(tenant) + len(algorithm) + len(commTag) + 48*len(keys))
@@ -100,39 +121,28 @@ func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commT
 // request batching in an inference stack: identical work admitted together
 // is computed once). The first request for a key becomes the batch leader:
 // it registers the batch, sleeps out the window while followers join, then
-// invokes run exactly once and publishes the result to everyone. Partition
-// solves, dynamic-partition runs and balance replays all route through
-// here with disjoint key spaces.
-//
-// A panicking run is contained on the leader path, as modelstore.FillProv
-// contains a panicking sweep: the recovered panic becomes the batch's
-// error and the batch is published anyway, so no follower stays blocked
-// on a run that can no longer finish.
-func (sh *shard) batched(key string, run func() (any, error)) (val any, err error) {
+// invokes run exactly once and publishes the result to everyone, a
+// panicking run's as its error.
+func (sh *shard) batched(key string, run func() (any, error)) (any, error) {
 	if sh.batchWindow <= 0 {
 		return run()
 	}
 	window := sh.window.observe(time.Now())
 	sh.batchMu.Lock()
-	if call, ok := sh.batches[key]; ok {
+	if c, ok := sh.batches[key]; ok {
 		sh.batchMu.Unlock()
-		sh.stats.batchJoined.Add(1)
-		select {
-		case <-call.done:
-			return call.val, call.err
-		case <-sh.ctx.Done():
-			return nil, sh.ctx.Err()
-		}
+		sh.stats.BatchJoined.Add(1)
+		return c.wait(sh.ctx)
 	}
 	if window <= 0 {
 		// Idle traffic: nobody will join within any window, so don't make
 		// this request pay one. In-flight batches are still joined above.
 		sh.batchMu.Unlock()
-		sh.stats.batchWindowSkips.Add(1)
+		sh.stats.BatchWindowSkips.Add(1)
 		return run()
 	}
-	call := &batchCall{done: make(chan struct{})}
-	sh.batches[key] = call
+	c := newCall[any]()
+	sh.batches[key] = c
 	sh.batchMu.Unlock()
 
 	// Leader: let followers pile on for one window, then close the batch
@@ -144,42 +154,5 @@ func (sh *shard) batched(key string, run func() (any, error)) (val any, err erro
 	sh.batchMu.Lock()
 	delete(sh.batches, key)
 	sh.batchMu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			call.val, call.err = nil, fmt.Errorf("service: batched run panicked: %v", r)
-			val, err = call.val, call.err
-		}
-		close(call.done)
-	}()
-	call.val, call.err = run()
-	return call.val, call.err
-}
-
-// solvePartition answers one partition request through the batcher.
-func (sh *shard) solvePartition(tenant string, keys []ModelKey, models []core.Model, algorithm string, D int, commTag string) (*core.Dist, error) {
-	key := BatchKey("part", tenant, keys, algorithm, D, commTag)
-	v, err := sh.batched(key, func() (any, error) {
-		return sh.runSolve(models, algorithm, D)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Dist), nil
-}
-
-// runSolve executes one partitioner call on the shared pool.
-func (sh *shard) runSolve(models []core.Model, algorithm string, D int) (*core.Dist, error) {
-	p, err := partition.ByName(algorithm)
-	if err != nil {
-		return nil, err
-	}
-	var dist *core.Dist
-	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-		sh.stats.batchSolves.Add(1)
-		var serr error
-		dist, serr = p.Partition(models, D)
-		return serr
-	})
-	return dist, err
+	return c.run(run)
 }

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -58,7 +60,7 @@ func TestBatchedPanicWakesFollowers(t *testing.T) {
 				followers+1-i, followers+1)
 		}
 	}
-	if joined := sh.stats.batchJoined.Load(); joined != followers {
+	if joined := sh.stats.BatchJoined.Load(); joined != followers {
 		t.Errorf("%d callers joined the batch, want %d", joined, followers)
 	}
 }
@@ -74,4 +76,57 @@ func batchedRecovering(sh *shard, key string, run func() (any, error)) (err erro
 	}()
 	_, err = sh.batched(key, run)
 	return err
+}
+
+// TestCallPublishes: the coalescing primitive behind the batcher, the
+// cache entries and the comm-calibration cache. Every waiter receives the
+// run's outcome, a panicking run's included as its error, and a waiter
+// whose context ends first gets a shutdown error instead of blocking.
+func TestCallPublishes(t *testing.T) {
+	ctx := context.Background()
+	const waiters = 3
+	// outcomes runs f on a fresh call with waiters blocked on it, and
+	// returns the run's error followed by each waiter's.
+	outcomes := func(f func() (int, error)) []error {
+		c := newCall[int]()
+		errs := make(chan error, waiters)
+		for i := 0; i < waiters; i++ {
+			go func() {
+				v, err := c.wait(ctx)
+				if err == nil && v != 42 {
+					err = fmt.Errorf("waiter got %d, want 42", v)
+				}
+				errs <- err
+			}()
+		}
+		v, err := c.run(f)
+		if err == nil && v != 42 {
+			err = fmt.Errorf("run returned %d, want 42", v)
+		}
+		out := []error{err}
+		for i := 0; i < waiters; i++ {
+			select {
+			case err := <-errs:
+				out = append(out, err)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d of %d waiters still blocked", waiters-i, waiters)
+			}
+		}
+		return out
+	}
+	for i, err := range outcomes(func() (int, error) { return 42, nil }) {
+		if err != nil {
+			t.Errorf("caller %d: %v", i, err)
+		}
+	}
+	for i, err := range outcomes(func() (int, error) { panic("boom") }) {
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("caller %d of a panicking run: err %v, want the panic", i, err)
+		}
+	}
+	ended, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := newCall[int]().wait(ended); !errors.Is(err, context.Canceled) {
+		t.Errorf("wait on an ended context: %v, want context.Canceled", err)
+	}
 }

@@ -36,17 +36,20 @@ func (k ModelKey) String() string {
 		k.Device, k.Seed, k.Noise, k.Lo, k.Hi, k.N, k.Model)
 }
 
-// entry is one cache slot. ready is closed when fill completes (success or
-// failure); model/points/err must only be read after ready is closed —
-// the close is the happens-before edge making the fitted model safe for
-// concurrent read-only use by any number of partition solves.
-type entry struct {
-	key    ModelKey
-	ready  chan struct{}
+// fitted is what a cache fill produces: the model and the points it was
+// fitted to.
+type fitted struct {
 	model  core.Model
 	points []core.Point
-	err    error
-	elem   *list.Element
+}
+
+// entry is one cache slot: the fill's call, published before the fill
+// runs. Closing done is the happens-before edge making the fitted model
+// safe for concurrent read-only use by any number of partition solves.
+type entry struct {
+	*call[fitted]
+	key  ModelKey
+	elem *list.Element
 }
 
 // tenantCache is one tenant's LRU-bounded model cache. It is guarded by
@@ -66,21 +69,25 @@ func newTenantCache(max int) *tenantCache {
 // getModel returns the fitted model and raw points for key in the given
 // tenant's cache, sweeping and fitting on a cache miss. Concurrent
 // requests for the same key are deduplicated: exactly one performs the
-// sweep, the rest wait for it (single-flight). Failed fills are removed
-// from the cache so a later request can retry.
+// sweep, the rest wait for it (single-flight). Failed fills, a panicking
+// one included, are removed from the cache so a later request can retry.
+// Waiters deliberately observe the shard's lifetime, not their own request
+// context: the fill belongs to the cache, not to any single client, so a
+// client disconnecting never poisons the entry for the others.
 func (sh *shard) getModel(tenant string, key ModelKey) (core.Model, []core.Point, error) {
 	sh.mu.Lock()
 	tc := sh.tenantCacheLocked(tenant)
 	if e, ok := tc.entries[key]; ok {
 		tc.order.MoveToFront(e.elem)
 		select {
-		case <-e.ready:
-			sh.stats.cacheHits.Add(1)
+		case <-e.done:
+			sh.stats.CacheHits.Add(1)
 		default:
-			sh.stats.cacheCoalesced.Add(1)
+			sh.stats.CacheCoalesced.Add(1)
 		}
 		sh.mu.Unlock()
-		return sh.awaitEntry(e)
+		f, err := e.wait(sh.ctx)
+		return f.model, f.points, err
 	}
 	// Admission control happens exactly here: a miss commits the tenant to
 	// a fill — the expensive, pool-occupying operation the quota meters.
@@ -89,16 +96,16 @@ func (sh *shard) getModel(tenant string, key ModelKey) (core.Model, []core.Point
 		sh.mu.Unlock()
 		return nil, nil, sh.rejectQuota(tenant)
 	}
-	sh.stats.cacheMisses.Add(1)
-	e := &entry{key: key, ready: make(chan struct{})}
+	sh.stats.CacheMisses.Add(1)
+	e := &entry{call: newCall[fitted](), key: key}
 	e.elem = tc.order.PushFront(e)
 	tc.entries[key] = e
 	sh.evictOverLocked(tc)
 	sh.mu.Unlock()
 
-	sh.fill(tenant, e)
+	f, err := e.run(func() (fitted, error) { return sh.fill(tenant, key) })
 	sh.quota.release(tenant)
-	if e.err != nil {
+	if err != nil {
 		// Drop the failed entry (if it has not been evicted and replaced
 		// already) so the next identical request retries.
 		sh.mu.Lock()
@@ -108,7 +115,7 @@ func (sh *shard) getModel(tenant string, key ModelKey) (core.Model, []core.Point
 		}
 		sh.mu.Unlock()
 	}
-	return e.model, e.points, e.err
+	return f.model, f.points, err
 }
 
 // tenantCacheLocked returns (creating if needed) the tenant's cache.
@@ -129,24 +136,11 @@ func (sh *shard) evictOverLocked(tc *tenantCache) {
 		victim := oldest.Value.(*entry)
 		tc.order.Remove(oldest)
 		delete(tc.entries, victim.key)
-		sh.stats.cacheEvictions.Add(1)
+		sh.stats.CacheEvictions.Add(1)
 	}
 }
 
-// awaitEntry blocks until the entry's fill completes or the shard shuts
-// down. Waiters deliberately do not observe their own request context:
-// the fill belongs to the cache, not to any single client, so a client
-// disconnecting never poisons the entry for the others.
-func (sh *shard) awaitEntry(e *entry) (core.Model, []core.Point, error) {
-	select {
-	case <-e.ready:
-		return e.model, e.points, e.err
-	case <-sh.ctx.Done():
-		return nil, nil, fmt.Errorf("service: shutting down: %w", sh.ctx.Err())
-	}
-}
-
-// fill produces the fitted model for e. With a store configured, the fill
+// fill produces the fitted model for key. With a store configured, the fill
 // goes through the store's cross-replica single-flight (modelstore.Fill):
 // the store is consulted before the device is even resolved — a stored
 // sweep is servable when its device can no longer be resolved (a machine
@@ -154,13 +148,10 @@ func (sh *shard) awaitEntry(e *entry) (core.Model, []core.Point, error) {
 // once per key across every replica sharing the store, each one mapping
 // the outcome onto its own counters. Storeless shards sweep directly; the
 // cache-entry single-flight already deduplicates within the shard.
-func (sh *shard) fill(tenant string, e *entry) {
-	defer close(e.ready)
-	key := e.key
+func (sh *shard) fill(tenant string, key ModelKey) (fitted, error) {
 	sizes := core.LogSizes(key.Lo, key.Hi, key.N)
 	if len(sizes) == 0 {
-		e.err = fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", key.Lo, key.Hi, key.N)
-		return
+		return fitted{}, fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", key.Lo, key.Hi, key.N)
 	}
 	sk, stored := sh.storeKey(tenant, key)
 	if stored {
@@ -173,57 +164,52 @@ func (sh *shard) fill(tenant string, e *entry) {
 		if info.Corrupt {
 			// Torn or damaged file: the flight re-swept and the spill healed
 			// the entry.
-			sh.stats.storeCorrupt.Add(1)
+			sh.stats.StoreCorrupt.Add(1)
 		}
 		if err != nil {
-			e.err = err
-			return
+			return fitted{}, err
 		}
 		m, ferr := fitPoints(key.Model, ent.Points)
 		if ferr == nil {
 			switch info.Source {
 			case modelstore.SourceDisk:
-				sh.stats.storeHits.Add(1)
+				sh.stats.StoreHits.Add(1)
 			case modelstore.SourceSwept:
 				// Write-behind spill: failures keep the in-memory entry valid
 				// and are only counted — durability is best-effort per fill.
 				if info.PutErr != nil {
-					sh.stats.storeErrors.Add(1)
+					sh.stats.StoreErrors.Add(1)
 				} else {
-					sh.stats.storeSpills.Add(1)
+					sh.stats.StoreSpills.Add(1)
 				}
 			case modelstore.SourceJoined:
 				// Another replica's sweep answered us: nothing of ours to
 				// count — the sweeping replica owns the sweep and the spill.
 			}
-			e.model, e.points = m, ent.Points
-			return
+			return fitted{m, ent.Points}, nil
 		}
 		if info.Source != modelstore.SourceDisk {
-			e.err = ferr
-			return
+			return fitted{}, ferr
 		}
 		// A disk entry this model kind cannot be fitted to: fall through to
 		// a clean local sweep; the spill below replaces the entry.
 	}
 	kernel, pts, err := sh.sweepKey(tenant, key, sizes)
 	if err != nil {
-		e.err = err
-		return
+		return fitted{}, err
 	}
 	m, err := fitPoints(key.Model, pts)
 	if err != nil {
-		e.err = err
-		return
+		return fitted{}, err
 	}
-	e.model, e.points = m, pts
 	if stored {
 		if err := sh.store.Put(sk, kernel, pts); err != nil {
-			sh.stats.storeErrors.Add(1)
+			sh.stats.StoreErrors.Add(1)
 		} else {
-			sh.stats.storeSpills.Add(1)
+			sh.stats.StoreSpills.Add(1)
 		}
 	}
+	return fitted{m, pts}, nil
 }
 
 // sweepKey resolves the key's device and runs its benchmark sweep on the
@@ -245,7 +231,7 @@ func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (string, []c
 	}
 	var pts []core.Point
 	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-		sh.stats.sweeps.Add(1)
+		sh.stats.Sweeps.Add(1)
 		start := time.Now()
 		var serr error
 		pts, serr = core.Sweep(k, sizes, sh.precision)

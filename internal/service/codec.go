@@ -1,74 +1,20 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
-	"sync"
 )
 
-// codecBuffers pools the scratch buffers of the request/response JSON
-// codec. Every request allocates a body buffer and every response an
-// encoder buffer; at serving rates those dominate the handler's garbage.
-// The pool gives steady-state encode/decode a reusable buffer each —
-// EncodeJSON/DecodeJSON stay byte-for-byte identical to their Ref
-// counterparts (pinned by TestEncodeJSONMatchesRef and
-// TestDecodeJSONMatchesRef), only the allocation profile changes.
-var codecBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBuffer caps what is returned to the pool, so one huge request
-// does not pin a huge buffer for the server's lifetime.
-const maxPooledBuffer = 1 << 20
-
-func putCodecBuffer(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuffer {
-		codecBuffers.Put(buf)
-	}
-}
-
-// EncodeJSON writes v as JSON (with a trailing newline, exactly like
-// json.Encoder) to w through a pooled buffer: the value is marshalled
-// fully before the first byte reaches w, so a marshalling error never
-// leaves a half-written response on the wire.
+// EncodeJSON writes v as JSON with a trailing newline. json.Encoder
+// marshals the whole value before its single write, so a marshalling
+// error never leaves a half-written response on the wire.
 func EncodeJSON(w io.Writer, v any) error {
-	buf := codecBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		putCodecBuffer(buf)
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	putCodecBuffer(buf)
-	return err
-}
-
-// EncodeJSONRef is the reference implementation of EncodeJSON: a plain
-// per-call encoder straight onto w. Kept (pool.MapSeq-style) as the
-// specification the pooled fast path is equivalence-tested against.
-func EncodeJSONRef(w io.Writer, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
 
 // DecodeJSON parses one JSON value from r into v, rejecting unknown
-// fields. The body is slurped into a pooled buffer first, so the decoder
-// never grows a fresh internal buffer per request.
+// fields.
 func DecodeJSON(r io.Reader, v any) error {
-	buf := codecBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	if _, err := buf.ReadFrom(r); err != nil {
-		putCodecBuffer(buf)
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	putCodecBuffer(buf)
-	return err
-}
-
-// DecodeJSONRef is the reference implementation of DecodeJSON: a plain
-// decoder reading r directly.
-func DecodeJSONRef(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)

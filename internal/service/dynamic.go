@@ -1,20 +1,14 @@
 package service
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"net/http"
-	"strconv"
-	"strings"
+	"sync/atomic"
 
 	"fupermod/internal/core"
 	"fupermod/internal/dynamic"
 	"fupermod/internal/kernels"
 	"fupermod/internal/model"
-	"fupermod/internal/partition"
 	"fupermod/internal/platform"
-	"fupermod/internal/pool"
 )
 
 // The dynamic endpoints expose the paper's model-free algorithms (§4.4)
@@ -71,77 +65,53 @@ type DynpartResponse struct {
 	BenchmarkS float64       `json:"benchmark_s"`
 }
 
-func (s *Server) handleDynpart(w http.ResponseWriter, r *http.Request) error {
-	var req DynpartRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	if len(req.Devices) == 0 {
-		return badRequest("at least one device is required")
-	}
-	if len(req.Devices) > MaxDevices {
-		return badRequest("%d devices exceed the limit of %d", len(req.Devices), MaxDevices)
+var dynpartOp = op[DynpartRequest]{
+	name:    "dyn",
+	tenant:  func(r *DynpartRequest) *string { return &r.Tenant },
+	runs:    func(s *shardStats) *atomic.Int64 { return &s.DynpartRuns },
+	metered: true,
+	prepare: (*shard).prepareDynpart,
+}
+
+// prepareDynpart resolves and canonicalises every device up front: a
+// dynpart run benchmarks real (virtual) devices, so machine refs must be
+// live. The solve benchmarks the kernels serially inside its one pool
+// slot, which keeps the seeded meters deterministic.
+func (sh *shard) prepareDynpart(req *DynpartRequest) (func() (any, error), string, error) {
+	if err := checkCount("device", len(req.Devices)); err != nil {
+		return nil, "", err
 	}
 	if req.D < len(req.Devices) {
-		return badRequest("problem size d=%d smaller than device count %d", req.D, len(req.Devices))
+		return nil, "", badRequest("problem size d=%d smaller than device count %d", req.D, len(req.Devices))
 	}
-	kind := req.Model
-	if kind == "" {
-		kind = model.KindPiecewise
+	if err := normModel(&req.Model, model.KindPiecewise); err != nil {
+		return nil, "", err
 	}
-	if _, err := model.New(kind); err != nil {
-		return badRequest("%v", err)
-	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "geometric"
-	}
-	algo, err := partition.ByName(algorithm)
+	algo, err := normAlgorithm(&req.Algorithm)
 	if err != nil {
-		return badRequest("%v", err)
+		return nil, "", err
 	}
-	eps := req.Eps
-	if eps == 0 {
-		eps = DefaultDynEps
+	if req.Eps == 0 {
+		req.Eps = DefaultDynEps
 	}
-	if eps < 0 || math.IsInf(eps, 0) || math.IsNaN(eps) {
-		return badRequest("eps %g must be finite and positive", req.Eps)
+	if !nonNegative(req.Eps) {
+		return nil, "", badRequest("eps %g must be finite and positive", req.Eps)
 	}
 	if req.MaxIters < 0 {
-		return badRequest("max_iters must be non-negative, got %d", req.MaxIters)
+		return nil, "", badRequest("max_iters must be non-negative, got %d", req.MaxIters)
 	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
-
-	// Resolve and canonicalise every device up front: a dynpart run
-	// benchmarks real (virtual) devices, so machine refs must be live.
 	devs := make([]platform.Device, len(req.Devices))
-	keys := make([]ModelKey, len(req.Devices))
 	for i, spec := range req.Devices {
-		key, err := sh.keyFor(tenant, spec, Grid{Lo: 1, Hi: req.D, N: 1}, kind)
+		key, err := sh.keyFor(req.Tenant, spec, Grid{Lo: 1, Hi: req.D, N: 1}, req.Model)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
-		dev, err := sh.resolveDevice(tenant, key.Device)
-		if err != nil {
-			return badRequest("device %d (%s): %v", i, spec.Preset, err)
+		if devs[i], err = sh.resolveDevice(req.Tenant, key.Device); err != nil {
+			return nil, "", badRequest("device %d (%s): %v", i, spec.Preset, err)
 		}
-		keys[i] = key
-		devs[i] = dev
+		req.Devices[i].Preset = key.Device
 	}
-
-	bkey := dynpartBatchKey(tenant, keys, algorithm, req.D, eps, req.MaxIters)
-	v, err := sh.batched(bkey, func() (any, error) {
-		// The quota meters the whole run — it occupies a pool slot while
-		// sweeping at every iteration. Leader-only acquisition: followers
-		// of the batch do no work of their own.
-		if !sh.quota.acquire(tenant) {
-			return nil, sh.rejectQuota(tenant)
-		}
-		defer sh.quota.release(tenant)
+	solve := func() (any, error) {
 		kernelSet := make([]core.Kernel, len(devs))
 		for i, dev := range devs {
 			meter := platform.NewMeter(dev, noiseConfig(req.Devices[i].Noise), req.Devices[i].Seed)
@@ -151,67 +121,35 @@ func (s *Server) handleDynpart(w http.ResponseWriter, r *http.Request) error {
 			}
 			kernelSet[i] = k
 		}
-		cfg := dynamic.Config{
+		res, err := dynamic.PartitionDynamic(kernelSet, req.D, dynamic.Config{
 			Algorithm: algo,
-			NewModel:  func() core.Model { m, _ := model.New(kind); return m },
+			NewModel:  func() core.Model { m, _ := model.New(req.Model); return m },
 			Precision: sh.precision,
-			Eps:       eps,
+			Eps:       req.Eps,
 			MaxIters:  req.MaxIters,
-		}
-		var res *dynamic.Result
-		// One pool slot for the whole run: the iterations benchmark the
-		// kernels serially, which keeps the seeded meters deterministic.
-		err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-			sh.stats.dynpartRuns.Add(1)
-			var derr error
-			res, derr = dynamic.PartitionDynamic(kernelSet, req.D, cfg)
-			return derr
 		})
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
-	})
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	res := v.(*dynamic.Result)
-
-	parts := make([]PartPayload, len(res.Dist.Parts))
-	for i, p := range res.Dist.Parts {
-		parts[i] = PartPayload{Device: keys[i].Device, Units: p.D, TimeS: p.Time}
-	}
-	steps := make([]DynpartStep, len(res.Steps))
-	for i, st := range res.Steps {
-		units := make([]int, len(st.Dist.Parts))
-		for j, p := range st.Dist.Parts {
-			units[j] = p.D
+		resp := &DynpartResponse{
+			Algorithm:  req.Algorithm,
+			Model:      req.Model,
+			D:          req.D,
+			Parts:      make([]PartPayload, len(res.Dist.Parts)),
+			MakespanS:  res.Dist.MaxTime(),
+			Steps:      make([]DynpartStep, len(res.Steps)),
+			Converged:  res.Converged,
+			BenchmarkS: res.BenchmarkSeconds,
 		}
-		steps[i] = DynpartStep{Units: units, Change: st.Change, ModelPoints: st.ModelPoints}
+		for i, p := range res.Dist.Parts {
+			resp.Parts[i] = PartPayload{Device: req.Devices[i].Preset, Units: p.D, TimeS: p.Time}
+		}
+		for i, st := range res.Steps {
+			resp.Steps[i] = DynpartStep{Units: st.Dist.Sizes(), Change: st.Change, ModelPoints: st.ModelPoints}
+		}
+		return resp, nil
 	}
-	return writeJSON(w, DynpartResponse{
-		Algorithm:  algorithm,
-		Model:      kind,
-		D:          req.D,
-		Parts:      parts,
-		MakespanS:  res.Dist.MaxTime(),
-		Steps:      steps,
-		Converged:  res.Converged,
-		BenchmarkS: res.BenchmarkSeconds,
-	})
-}
-
-// dynpartBatchKey fingerprints everything that determines a dynpart run.
-func dynpartBatchKey(tenant string, keys []ModelKey, algorithm string, D int, eps float64, maxIters int) string {
-	var b strings.Builder
-	b.WriteString("dyn|")
-	b.WriteString(tenant)
-	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k.String())
-	}
-	fmt.Fprintf(&b, "|%s|%d|%s|%d", algorithm, D, strconv.FormatFloat(eps, 'g', -1, 64), maxIters)
-	return b.String()
+	return solve, "", nil
 }
 
 // BalanceRequest replays observed per-iteration times through the dynamic
@@ -251,107 +189,54 @@ type BalanceResponse struct {
 	Units      []int              `json:"units"`
 }
 
-func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) error {
-	var req BalanceRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	if req.N <= 0 || req.N > MaxDevices {
-		return badRequest("process count n=%d must be in [1, %d]", req.N, MaxDevices)
-	}
-	if req.D < req.N {
-		return badRequest("problem size d=%d smaller than process count %d", req.D, req.N)
-	}
-	if len(req.Iterations) == 0 {
-		return badRequest("at least one observed iteration is required")
-	}
-	for i, times := range req.Iterations {
-		if len(times) != req.N {
-			return badRequest("iteration %d has %d times for %d processes", i, len(times), req.N)
-		}
-		for j, t := range times {
-			if t < 0 || math.IsInf(t, 0) || math.IsNaN(t) {
-				return badRequest("iteration %d process %d: time %g must be finite and non-negative", i, j, t)
-			}
-		}
-	}
-	kind := req.Model
-	if kind == "" {
-		kind = model.KindPiecewise
-	}
-	if _, err := model.New(kind); err != nil {
-		return badRequest("%v", err)
-	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "geometric"
-	}
-	algo, err := partition.ByName(algorithm)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	if req.MinGain < 0 || math.IsInf(req.MinGain, 0) || math.IsNaN(req.MinGain) {
-		return badRequest("min_gain %g must be finite and non-negative", req.MinGain)
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
-
-	bkey := balanceBatchKey(tenant, &req, kind, algorithm)
-	v, err := sh.batched(bkey, func() (any, error) {
-		cfg := dynamic.Config{
-			Algorithm: algo,
-			NewModel:  func() core.Model { m, _ := model.New(kind); return m },
-		}
-		var resp *BalanceResponse
-		// The replay is pure computation (model updates + solver calls);
-		// one pool slot bounds it like any other solve.
-		err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-			sh.stats.balanceRuns.Add(1)
-			b, err := dynamic.NewBalancer(cfg, req.D, req.N, req.MinGain)
-			if err != nil {
-				return err
-			}
-			resp = &BalanceResponse{Algorithm: algorithm, Model: kind, D: req.D, N: req.N}
-			for i, times := range req.Iterations {
-				changed, err := b.Observe(times)
-				if err != nil {
-					return fmt.Errorf("iteration %d: %w", i, err)
-				}
-				units := make([]int, req.N)
-				for j, p := range b.Dist().Parts {
-					units[j] = p.D
-				}
-				resp.Iterations = append(resp.Iterations, BalanceIteration{Units: units, Changed: changed})
-			}
-			resp.Units = resp.Iterations[len(resp.Iterations)-1].Units
-			return nil
-		})
-		return resp, err
-	})
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	return writeJSON(w, v.(*BalanceResponse))
+var balanceOp = op[BalanceRequest]{
+	name:    "bal",
+	tenant:  func(r *BalanceRequest) *string { return &r.Tenant },
+	runs:    func(s *shardStats) *atomic.Int64 { return &s.BalanceRuns },
+	prepare: prepareBalance,
 }
 
-// balanceBatchKey fingerprints a full replay, observation history included.
-func balanceBatchKey(tenant string, req *BalanceRequest, kind, algorithm string) string {
-	var b strings.Builder
-	b.WriteString("bal|")
-	b.WriteString(tenant)
-	fmt.Fprintf(&b, "|%d|%d|%s|%s|%s", req.N, req.D, kind, algorithm,
-		strconv.FormatFloat(req.MinGain, 'g', -1, 64))
-	for _, times := range req.Iterations {
-		b.WriteByte('|')
-		for j, t := range times {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		}
+// prepareBalance validates a replay. The solve is pure computation: model
+// updates and solver calls.
+func prepareBalance(_ *shard, req *BalanceRequest) (func() (any, error), string, error) {
+	if err := checkCount("process", req.N); err != nil {
+		return nil, "", err
 	}
-	return b.String()
+	if req.D < req.N {
+		return nil, "", badRequest("problem size d=%d smaller than process count %d", req.D, req.N)
+	}
+	if err := checkIterations(req.Iterations, req.N, nil); err != nil {
+		return nil, "", err
+	}
+	if err := normModel(&req.Model, model.KindPiecewise); err != nil {
+		return nil, "", err
+	}
+	algo, err := normAlgorithm(&req.Algorithm)
+	if err != nil {
+		return nil, "", err
+	}
+	if !nonNegative(req.MinGain) {
+		return nil, "", badRequest("min_gain %g must be finite and non-negative", req.MinGain)
+	}
+	solve := func() (any, error) {
+		cfg := dynamic.Config{
+			Algorithm: algo,
+			NewModel:  func() core.Model { m, _ := model.New(req.Model); return m },
+		}
+		b, err := dynamic.NewBalancer(cfg, req.D, req.N, req.MinGain)
+		if err != nil {
+			return nil, err
+		}
+		resp := &BalanceResponse{Algorithm: req.Algorithm, Model: req.Model, D: req.D, N: req.N}
+		for i, times := range req.Iterations {
+			changed, err := b.Observe(times)
+			if err != nil {
+				return nil, fmt.Errorf("iteration %d: %w", i, err)
+			}
+			resp.Iterations = append(resp.Iterations, BalanceIteration{Units: b.Dist().Sizes(), Changed: changed})
+		}
+		resp.Units = resp.Iterations[len(resp.Iterations)-1].Units
+		return resp, nil
+	}
+	return solve, "", nil
 }

@@ -69,7 +69,8 @@ func machineFingerprint(text string) string {
 
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 	var req MachineRequest
-	if err := decode(w, r, &req); err != nil {
+	sh, err := s.route(w, r, &req, &req.Tenant)
+	if err != nil {
 		return err
 	}
 	if strings.TrimSpace(req.Machine) == "" {
@@ -83,11 +84,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 	if len(devs) > MaxDevices {
 		return badRequest("machine file defines %d devices, limit is %d", len(devs), MaxDevices)
 	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
+	tenant := req.Tenant
 	fp := machineFingerprint(req.Machine)
 
 	sh.machineMu.Lock()
@@ -98,7 +95,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 	}
 	if _, seen := tm.byFP[fp]; !seen {
 		tm.byFP[fp] = devs
-		sh.stats.machineUploads.Add(1)
+		sh.stats.MachineUploads.Add(1)
 	}
 	tm.current = fp
 	sh.machineMu.Unlock()

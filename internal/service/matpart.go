@@ -1,15 +1,10 @@
 package service
 
 import (
-	"context"
-	"math"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
+	"sync/atomic"
 
 	"fupermod/internal/matpart"
-	"fupermod/internal/pool"
 )
 
 // /v1/matpart serves the 2D column-based matrix arrangement (Beaumont et
@@ -88,52 +83,33 @@ type MatpartResponse struct {
 	Blocks []MatpartBlock `json:"blocks,omitempty"`
 }
 
-func (s *Server) handleMatpart(w http.ResponseWriter, r *http.Request) error {
-	var req MatpartRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	if len(req.Areas) == 0 || len(req.Areas) > MaxDevices {
-		return badRequest("process count %d must be in [1, %d]", len(req.Areas), MaxDevices)
+var matpartOp = op[MatpartRequest]{
+	name:    "mat",
+	tenant:  func(r *MatpartRequest) *string { return &r.Tenant },
+	runs:    func(s *shardStats) *atomic.Int64 { return &s.MatpartRuns },
+	prepare: prepareMatpart,
+}
+
+// prepareMatpart validates an arrangement request. The solve is pure
+// computation: one DP plus the grid discretisation.
+func prepareMatpart(_ *shard, req *MatpartRequest) (func() (any, error), string, error) {
+	if err := checkCount("process", len(req.Areas)); err != nil {
+		return nil, "", err
 	}
 	anyPositive := false
 	for i, a := range req.Areas {
-		if a < 0 || math.IsInf(a, 0) || math.IsNaN(a) {
-			return badRequest("areas[%d] = %g must be finite and non-negative", i, a)
+		if !nonNegative(a) {
+			return nil, "", badRequest("areas[%d] = %g must be finite and non-negative", i, a)
 		}
-		if a > 0 {
-			anyPositive = true
-		}
+		anyPositive = anyPositive || a > 0
 	}
 	if !anyPositive {
-		return badRequest("all areas are zero: nothing to arrange")
+		return nil, "", badRequest("all areas are zero: nothing to arrange")
 	}
 	if req.Grid < 0 || req.Grid > MaxMatpartGrid {
-		return badRequest("grid %d must be in [0, %d]", req.Grid, MaxMatpartGrid)
+		return nil, "", badRequest("grid %d must be in [0, %d]", req.Grid, MaxMatpartGrid)
 	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
-	if err != nil {
-		return err
-	}
-
-	bkey := matpartBatchKey(tenant, &req)
-	v, err := sh.batched(bkey, func() (any, error) {
-		var resp *MatpartResponse
-		// The arrangement is pure computation (one DP plus the grid
-		// discretisation); one pool slot bounds it like any other solve.
-		err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-			sh.stats.matpartRuns.Add(1)
-			var merr error
-			resp, merr = solveMatpart(&req)
-			return merr
-		})
-		return resp, err
-	})
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	return writeJSON(w, v.(*MatpartResponse))
+	return func() (any, error) { return solveMatpart(req) }, "", nil
 }
 
 // solveMatpart is the pure library path of the endpoint: arrange, derive
@@ -202,21 +178,4 @@ func matpartColumns(rects []matpart.Rect) []MatpartColumn {
 		cols = append(cols, MatpartColumn{X: r.X, W: r.W, Procs: []int{r.Proc}})
 	}
 	return cols
-}
-
-// matpartBatchKey fingerprints a full arrangement request.
-func matpartBatchKey(tenant string, req *MatpartRequest) string {
-	var b strings.Builder
-	b.WriteString("mat|")
-	b.WriteString(tenant)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(req.Grid))
-	b.WriteByte('|')
-	for i, a := range req.Areas {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatFloat(a, 'g', -1, 64))
-	}
-	return b.String()
 }

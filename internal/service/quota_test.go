@@ -189,7 +189,7 @@ func TestRetryAfterUsesCompletedSweeps(t *testing.T) {
 	if got := sh.retryAfterSecs(); got != 1 {
 		t.Errorf("cold shard: retry after %ds, want the 1s floor", got)
 	}
-	sh.stats.sweeps.Store(3)
+	sh.stats.Sweeps.Store(3)
 	if got := sh.retryAfterSecs(); got != 1 {
 		t.Errorf("all sweeps in flight: retry after %ds, want the 1s floor", got)
 	}
@@ -198,7 +198,7 @@ func TestRetryAfterUsesCompletedSweeps(t *testing.T) {
 	// only observed duration is 2.6s, so the estimate is ceil(2.6) = 3s.
 	// The pre-fix arithmetic divided 2.6s by the 4 started sweeps and
 	// promised 1s — a quarter of the real time scale.
-	sh.stats.sweeps.Store(4)
+	sh.stats.Sweeps.Store(4)
 	sh.stats.sweepsDone.Store(1)
 	sh.stats.sweepNanos.Store(int64(2600 * time.Millisecond))
 	if got := sh.retryAfterSecs(); got != 3 {

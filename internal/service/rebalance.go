@@ -1,18 +1,12 @@
 package service
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"net/http"
-	"strconv"
-	"strings"
+	"sync/atomic"
 
 	"fupermod/internal/core"
 	"fupermod/internal/dynamic"
 	"fupermod/internal/model"
-	"fupermod/internal/partition"
-	"fupermod/internal/pool"
 	"fupermod/internal/rebalance"
 )
 
@@ -96,114 +90,72 @@ type RebalanceResponse struct {
 	Comm string `json:"comm"`
 }
 
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) error {
-	var req RebalanceRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	if req.N <= 0 || req.N > MaxDevices {
-		return badRequest("process count n=%d must be in [1, %d]", req.N, MaxDevices)
+var rebalanceOp = op[RebalanceRequest]{
+	name:    "reb",
+	tenant:  func(r *RebalanceRequest) *string { return &r.Tenant },
+	runs:    func(s *shardStats) *atomic.Int64 { return &s.RebalanceRuns },
+	prepare: (*shard).prepareRebalance,
+}
+
+// prepareRebalance validates a decision request and resolves its link
+// model through the shard's calibration cache. The solve is pure
+// computation: model updates, one solver call, the plan sweep.
+func (sh *shard) prepareRebalance(req *RebalanceRequest) (func() (any, error), string, error) {
+	if err := checkCount("process", req.N); err != nil {
+		return nil, "", err
 	}
 	if req.D < req.N {
-		return badRequest("problem size d=%d smaller than process count %d", req.D, req.N)
+		return nil, "", badRequest("problem size d=%d smaller than process count %d", req.D, req.N)
 	}
 	if len(req.Units) != req.N {
-		return badRequest("units has %d entries for %d processes", len(req.Units), req.N)
+		return nil, "", badRequest("units has %d entries for %d processes", len(req.Units), req.N)
 	}
 	sum := 0
 	for i, u := range req.Units {
 		if u < 0 {
-			return badRequest("units[%d] = %d is negative", i, u)
+			return nil, "", badRequest("units[%d] = %d is negative", i, u)
 		}
 		sum += u
 	}
 	if sum != req.D {
-		return badRequest("units sum to %d, want d=%d", sum, req.D)
+		return nil, "", badRequest("units sum to %d, want d=%d", sum, req.D)
 	}
-	if len(req.Iterations) == 0 {
-		return badRequest("at least one observed iteration is required")
-	}
-	for i, times := range req.Iterations {
-		if len(times) != req.N {
-			return badRequest("iteration %d has %d times for %d processes", i, len(times), req.N)
-		}
-		for j, t := range times {
-			if t < 0 || math.IsInf(t, 0) || math.IsNaN(t) {
-				return badRequest("iteration %d process %d: time %g must be finite and non-negative", i, j, t)
-			}
-			if req.Units[j] > 0 && t == 0 {
-				return badRequest("iteration %d process %d: zero time for a loaded process", i, j)
-			}
-		}
+	if err := checkIterations(req.Iterations, req.N, req.Units); err != nil {
+		return nil, "", err
 	}
 	if req.Rounds <= 0 {
-		return badRequest("rounds must be positive, got %d", req.Rounds)
+		return nil, "", badRequest("rounds must be positive, got %d", req.Rounds)
 	}
-	if req.UnitBytes <= 0 || math.IsInf(req.UnitBytes, 0) || math.IsNaN(req.UnitBytes) {
-		return badRequest("unit_bytes %g must be finite and positive", req.UnitBytes)
+	if req.UnitBytes <= 0 || !nonNegative(req.UnitBytes) {
+		return nil, "", badRequest("unit_bytes %g must be finite and positive", req.UnitBytes)
 	}
 	if req.Comm == nil {
-		return badRequest("a comm spec is required: the decision prices bytes on a network")
+		return nil, "", badRequest("a comm spec is required: the decision prices bytes on a network")
 	}
-	kind := req.Model
-	if kind == "" {
-		kind = model.KindAdaptive
+	if err := normModel(&req.Model, model.KindAdaptive); err != nil {
+		return nil, "", err
 	}
-	if _, err := model.New(kind); err != nil {
-		return badRequest("%v", err)
-	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "geometric"
-	}
-	algo, err := partition.ByName(algorithm)
+	algo, err := normAlgorithm(&req.Algorithm)
 	if err != nil {
-		return badRequest("%v", err)
+		return nil, "", err
 	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
+	link, commTag, err := sh.commModel(req.Comm, req.N)
 	if err != nil {
-		return err
+		return nil, "", asRequestError(err, "comm: %v", err)
 	}
-	link, commTag, err := sh.commModel(*req.Comm, req.N)
-	if err != nil {
-		return asRequestError(err, "comm: %v", err)
-	}
-
-	bkey := rebalanceBatchKey(tenant, &req, kind, algorithm, commTag)
-	v, err := sh.batched(bkey, func() (any, error) {
-		var resp *RebalanceResponse
-		// The replay is pure computation (model updates, one solver call,
-		// the plan sweep); one pool slot bounds it like any other solve.
-		err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-			sh.stats.rebalanceRuns.Add(1)
-			var rerr error
-			resp, rerr = solveRebalance(&req, kind, algorithm, algo, link, commTag)
-			return rerr
-		})
-		return resp, err
-	})
-	if err != nil {
-		return asRequestError(err, "%v", err)
-	}
-	return writeJSON(w, v.(*RebalanceResponse))
+	return func() (any, error) { return solveRebalance(req, algo, link, commTag) }, "", nil
 }
 
 // solveRebalance is the pure library path of the endpoint: replay the
-// observations into partial models, propose, plan, price, decide. The
-// cross-replica differential calls exactly this sequence directly.
-func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Partitioner, link rebalance.CommCost, commTag string) (*RebalanceResponse, error) {
+// observations into partial models, propose, plan, price, decide.
+func solveRebalance(req *RebalanceRequest, algo core.Partitioner, link rebalance.CommCost, commTag string) (*RebalanceResponse, error) {
 	old := &core.Dist{D: req.D, Parts: make([]core.Part, req.N)}
 	for i, u := range req.Units {
 		old.Parts[i].D = u
 	}
 	models := make([]core.Model, req.N)
 	for i := range models {
-		m, err := model.New(kind)
-		if err != nil {
-			return nil, err
-		}
-		models[i] = m
+		models[i], _ = model.New(req.Model) // prepareRebalance checked the kind
 	}
 	for it, times := range req.Iterations {
 		for i, t := range times {
@@ -231,21 +183,17 @@ func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Par
 	if err != nil {
 		return nil, err
 	}
-	newUnits := make([]int, req.N)
-	for i, p := range proposal.Parts {
-		newUnits[i] = p.D
-	}
 	moves := make([]MovePayload, len(dec.Plan.Moves))
 	for i, m := range dec.Plan.Moves {
 		moves[i] = MovePayload{From: m.From, To: m.To, Units: m.Units, Bytes: float64(m.Units) * dec.Plan.UnitBytes}
 	}
 	return &RebalanceResponse{
-		Algorithm:     algorithm,
-		Model:         kind,
+		Algorithm:     req.Algorithm,
+		Model:         req.Model,
 		D:             req.D,
 		N:             req.N,
 		OldUnits:      append([]int(nil), req.Units...),
-		NewUnits:      newUnits,
+		NewUnits:      proposal.Sizes(),
 		Migrate:       dec.Migrate,
 		Rounds:        dec.Rounds,
 		KeepPerRoundS: dec.KeepPerRound,
@@ -260,31 +208,4 @@ func solveRebalance(req *RebalanceRequest, kind, algorithm string, algo core.Par
 		RecvBytes:     dec.Plan.RecvBytes(),
 		Comm:          commTag,
 	}, nil
-}
-
-// rebalanceBatchKey fingerprints a full decision, observation history and
-// priced network included.
-func rebalanceBatchKey(tenant string, req *RebalanceRequest, kind, algorithm, commTag string) string {
-	var b strings.Builder
-	b.WriteString("reb|")
-	b.WriteString(tenant)
-	fmt.Fprintf(&b, "|%d|%d|%s|%s|%d|%s|%s", req.N, req.D, kind, algorithm, req.Rounds,
-		strconv.FormatFloat(req.UnitBytes, 'g', -1, 64), commTag)
-	b.WriteByte('|')
-	for i, u := range req.Units {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(u))
-	}
-	for _, times := range req.Iterations {
-		b.WriteByte('|')
-		for j, t := range times {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		}
-	}
-	return b.String()
 }

@@ -49,6 +49,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"fupermod/internal/core"
@@ -145,11 +146,11 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/measure", s.instrument(s.handleMeasure))
 	mux.HandleFunc("/v1/model", s.instrument(s.handleModel))
-	mux.HandleFunc("/v1/partition", s.instrument(s.handlePartition))
-	mux.HandleFunc("/v1/dynpart", s.instrument(s.handleDynpart))
-	mux.HandleFunc("/v1/balance", s.instrument(s.handleBalance))
-	mux.HandleFunc("/v1/rebalance", s.instrument(s.handleRebalance))
-	mux.HandleFunc("/v1/matpart", s.instrument(s.handleMatpart))
+	mux.HandleFunc("/v1/partition", s.instrument(serve(s, partitionOp)))
+	mux.HandleFunc("/v1/dynpart", s.instrument(serve(s, dynpartOp)))
+	mux.HandleFunc("/v1/balance", s.instrument(serve(s, balanceOp)))
+	mux.HandleFunc("/v1/rebalance", s.instrument(serve(s, rebalanceOp)))
+	mux.HandleFunc("/v1/matpart", s.instrument(serve(s, matpartOp)))
 	mux.HandleFunc("/v1/machine", s.instrument(s.handleMachine))
 	mux.HandleFunc("/stats", s.instrument(s.handleStats))
 	mux.HandleFunc("/healthz", s.instrument(s.handleHealthz))
@@ -313,8 +314,7 @@ func (s *Server) instrument(h func(w http.ResponseWriter, r *http.Request) error
 	}
 }
 
-// decode parses a JSON request body with a sane size bound, through the
-// pooled codec (codec.go).
+// decode parses a JSON request body with a sane size bound.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	if r.Method != http.MethodPost {
 		return &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"}
@@ -383,23 +383,29 @@ func pointPayloads(pts []core.Point) []PointPayload {
 	return out
 }
 
-func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) error {
+// resolveModel routes a measure or model request and resolves its fitted
+// model through the tenant cache.
+func (s *Server) resolveModel(w http.ResponseWriter, r *http.Request) (ModelKey, core.Model, []core.Point, error) {
 	var req MeasureRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
+	sh, err := s.route(w, r, &req, &req.Tenant)
+	if err != nil {
+		return ModelKey{}, nil, nil, err
 	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
+	key, err := sh.keyFor(req.Tenant, req.Device, req.Grid, req.Model)
+	if err != nil {
+		return ModelKey{}, nil, nil, err
+	}
+	m, pts, err := sh.getModel(req.Tenant, key)
+	if err != nil {
+		return ModelKey{}, nil, nil, asRequestError(err, "%v", err)
+	}
+	return key, m, pts, nil
+}
+
+func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) error {
+	key, _, pts, err := s.resolveModel(w, r)
 	if err != nil {
 		return err
-	}
-	key, err := sh.keyFor(tenant, req.Device, req.Grid, req.Model)
-	if err != nil {
-		return err
-	}
-	_, pts, err := sh.getModel(tenant, key)
-	if err != nil {
-		return asRequestError(err, "%v", err)
 	}
 	return writeJSON(w, MeasureResponse{
 		Device: key.Device,
@@ -409,22 +415,9 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) error {
-	var req ModelRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
+	key, m, pts, err := s.resolveModel(w, r)
 	if err != nil {
 		return err
-	}
-	key, err := sh.keyFor(tenant, req.Device, req.Grid, req.Model)
-	if err != nil {
-		return err
-	}
-	m, pts, err := sh.getModel(tenant, key)
-	if err != nil {
-		return asRequestError(err, "%v", err)
 	}
 	var eval []EvalPayload
 	for _, d := range core.LogSizes(key.Lo, key.Hi, key.N) {
@@ -446,76 +439,70 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) error {
 	})
 }
 
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) error {
-	var req PartitionRequest
-	if err := decode(w, r, &req); err != nil {
-		return err
-	}
-	if len(req.Devices) == 0 {
-		return badRequest("at least one device is required")
-	}
-	if len(req.Devices) > MaxDevices {
-		return badRequest("%d devices exceed the limit of %d", len(req.Devices), MaxDevices)
+var partitionOp = op[PartitionRequest]{
+	tenant:  func(r *PartitionRequest) *string { return &r.Tenant },
+	runs:    func(s *shardStats) *atomic.Int64 { return &s.BatchSolves },
+	prepare: (*shard).preparePartition,
+}
+
+// preparePartition resolves every device's fitted model through the
+// tenant cache and keys the batch on the resolved model keys (BatchKey).
+// The resolution is sequential within one request — each fill occupies a
+// pool slot only while sweeping, and cross-request parallelism keeps the
+// pool busy — which also rules out pool starvation from nested
+// acquisition.
+func (sh *shard) preparePartition(req *PartitionRequest) (func() (any, error), string, error) {
+	if err := checkCount("device", len(req.Devices)); err != nil {
+		return nil, "", err
 	}
 	if req.D <= 0 {
-		return badRequest("problem size d must be positive, got %d", req.D)
+		return nil, "", badRequest("problem size d must be positive, got %d", req.D)
 	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "geometric"
-	}
-	tenant := TenantOf(req.Tenant)
-	sh, err := s.shardFor(tenant)
+	algo, err := normAlgorithm(&req.Algorithm)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-
-	// Resolve every device's fitted model through the tenant cache. The
-	// resolution is sequential within one request — each fill occupies a
-	// pool slot only while sweeping, and cross-request parallelism keeps
-	// the pool busy — which also rules out pool starvation from nested
-	// acquisition.
 	keys := make([]ModelKey, len(req.Devices))
 	models := make([]core.Model, len(req.Devices))
 	for i, dev := range req.Devices {
-		key, err := sh.keyFor(tenant, dev, req.Grid, req.Model)
+		key, err := sh.keyFor(req.Tenant, dev, req.Grid, req.Model)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
-		m, _, err := sh.getModel(tenant, key)
+		m, _, err := sh.getModel(req.Tenant, key)
 		if err != nil {
-			return asRequestError(err, "device %d (%s): %v", i, dev.Preset, err)
+			return nil, "", asRequestError(err, "device %d (%s): %v", i, dev.Preset, err)
 		}
-		keys[i] = key
-		models[i] = m
+		keys[i], models[i] = key, m
 	}
-
 	models, commTag, err := sh.commWrap(req.Comm, models)
 	if err != nil {
-		return badRequest("comm: %v", err)
+		return nil, "", badRequest("comm: %v", err)
 	}
-
-	dist, err := sh.solvePartition(tenant, keys, models, algorithm, req.D, commTag)
-	if err != nil {
-		return asRequestError(err, "%v", err)
+	solve := func() (any, error) {
+		dist, err := algo.Partition(models, req.D)
+		if err != nil {
+			return nil, err
+		}
+		parts := make([]PartPayload, len(dist.Parts))
+		for i, p := range dist.Parts {
+			parts[i] = PartPayload{Device: keys[i].Device, Units: p.D, TimeS: p.Time}
+		}
+		imb := dist.Imbalance()
+		if math.IsInf(imb, 0) || math.IsNaN(imb) {
+			imb = -1
+		}
+		return &PartitionResponse{
+			Algorithm: req.Algorithm,
+			Model:     keys[0].Model,
+			D:         req.D,
+			Parts:     parts,
+			MakespanS: dist.MaxTime(),
+			Imbalance: imb,
+			Comm:      commTag,
+		}, nil
 	}
-	parts := make([]PartPayload, len(dist.Parts))
-	for i, p := range dist.Parts {
-		parts[i] = PartPayload{Device: keys[i].Device, Units: p.D, TimeS: p.Time}
-	}
-	imb := dist.Imbalance()
-	if math.IsInf(imb, 0) || math.IsNaN(imb) {
-		imb = -1
-	}
-	return writeJSON(w, PartitionResponse{
-		Algorithm: algorithm,
-		Model:     keys[0].Model,
-		D:         req.D,
-		Parts:     parts,
-		MakespanS: dist.MaxTime(),
-		Imbalance: imb,
-		Comm:      commTag,
-	})
+	return solve, BatchKey("part", req.Tenant, keys, req.Algorithm, req.D, commTag), nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {

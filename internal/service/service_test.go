@@ -557,17 +557,20 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON and unknown fields.
-	resp, err := http.Post(ts.URL+"/v1/partition", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d", resp.StatusCode)
+	// The decoder's strictness: malformed JSON, an unknown field, a wrong
+	// type and an empty body are all 400s.
+	for _, body := range []string{"{nope", `{"tenant":"x","bogus":1}`, `{"d":"not a number"}`, ""} {
+		resp, err := http.Post(ts.URL+"/v1/partition", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	// Wrong methods.
-	resp, err = http.Get(ts.URL + "/v1/partition")
+	resp, err := http.Get(ts.URL + "/v1/partition")
 	if err != nil {
 		t.Fatal(err)
 	}

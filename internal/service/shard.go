@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"fupermod/internal/commmodel"
 	"fupermod/internal/core"
 	"fupermod/internal/model"
 	"fupermod/internal/pool"
@@ -49,11 +50,11 @@ type shard struct {
 	tenants map[string]*tenantCache
 
 	batchMu sync.Mutex
-	batches map[string]*batchCall
+	batches map[string]*call[any]
 	window  adaptiveWindow
 
 	commMu sync.Mutex
-	comms  map[string]*commEntry
+	comms  map[string]*call[commmodel.CommModel]
 
 	machineMu sync.Mutex
 	machines  map[string]*tenantMachines
@@ -81,9 +82,9 @@ func (s *Server) newShard(id int) *shard {
 		ctx:            ctx,
 		cancel:         cancel,
 		tenants:        make(map[string]*tenantCache),
-		batches:        make(map[string]*batchCall),
+		batches:        make(map[string]*call[any]),
 		window:         adaptiveWindow{max: s.batchWindow},
-		comms:          make(map[string]*commEntry),
+		comms:          make(map[string]*call[commmodel.CommModel]),
 		machines:       make(map[string]*tenantMachines),
 	}
 }
@@ -102,6 +103,8 @@ func (sh *shard) preloadEntry(ent modelstore.Entry) {
 		return
 	}
 	e := &entry{
+		// Born published: the stored sweep is the fill's outcome.
+		call: &call[fitted]{done: make(chan struct{}), val: fitted{m, ent.Points}},
 		key: ModelKey{
 			Device: ent.Key.Device,
 			Seed:   ent.Key.Seed,
@@ -109,11 +112,8 @@ func (sh *shard) preloadEntry(ent modelstore.Entry) {
 			Lo:     ent.Key.Lo, Hi: ent.Key.Hi, N: ent.Key.N,
 			Model: model.KindPiecewise,
 		},
-		ready:  make(chan struct{}),
-		model:  m,
-		points: ent.Points,
 	}
-	close(e.ready)
+	close(e.done)
 	sh.mu.Lock()
 	tc := sh.tenantCacheLocked(ent.Key.Tenant)
 	if old, ok := tc.entries[e.key]; ok {
@@ -123,5 +123,5 @@ func (sh *shard) preloadEntry(ent modelstore.Entry) {
 	tc.entries[e.key] = e
 	sh.evictOverLocked(tc)
 	sh.mu.Unlock()
-	sh.stats.storeLoaded.Add(1)
+	sh.stats.StoreLoaded.Add(1)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,49 +13,54 @@ import (
 // fields are updated with atomics so handlers never serialise on a stats
 // lock; the per-tenant quota-rejection map is the one mutex-guarded
 // exception (it is touched only on the rejection path, which is already
-// the slow lane). Front-of-house counters (requests, errors, latency) live
-// on the router (frontStats), which sees every request exactly once.
+// the slow lane). Exported counters are published, and documented, as the
+// same-named ShardCounters fields. Front-of-house counters live on the
+// router (frontStats), which sees every request exactly once.
 type shardStats struct {
-	cacheHits      atomic.Int64 // model found ready in a tenant cache
-	cacheMisses    atomic.Int64 // model absent: a fill was started
-	cacheCoalesced atomic.Int64 // request joined an in-flight fill (single-flight)
-	cacheEvictions atomic.Int64 // entries dropped by the LRU bound
+	CacheHits, CacheMisses, CacheCoalesced, CacheEvictions atomic.Int64
 
-	sweeps     atomic.Int64 // benchmark sweeps started
+	Sweeps     atomic.Int64
 	sweepsDone atomic.Int64 // benchmark sweeps completed (wall time recorded)
 	sweepNanos atomic.Int64 // cumulative wall time of the completed sweeps
 
-	storeLoaded  atomic.Int64 // entries preloaded from the disk store at start
-	storeHits    atomic.Int64 // fills served from the disk store (no sweep)
-	storeSpills  atomic.Int64 // sweeps spilled to the disk store
-	storeCorrupt atomic.Int64 // corrupt store files encountered (re-sweep path)
-	storeErrors  atomic.Int64 // store writes that failed (entry kept in memory)
+	StoreLoaded, StoreHits, StoreSpills, StoreCorrupt, StoreErrors atomic.Int64
 
-	transferRuns      atomic.Int64 // fills answered by cross-device transfer
-	transferProbes    atomic.Int64 // benchmark probes spent by transfer attempts
-	transferFallbacks atomic.Int64 // transfer attempts that fell back to a full sweep
+	TransferRuns, TransferProbes, TransferFallbacks atomic.Int64
 
-	batchSolves      atomic.Int64 // solver calls made on behalf of a batch
-	batchJoined      atomic.Int64 // partition requests that joined an existing batch
-	batchWindowSkips atomic.Int64 // requests that skipped the window (idle traffic)
+	BatchSolves, BatchJoined, BatchWindowSkips atomic.Int64
 
-	commCalibrations atomic.Int64 // comm-model calibrations actually executed
+	CommCalibrations atomic.Int64
 
-	dynpartRuns    atomic.Int64 // dynamic-partition runs actually executed
-	balanceRuns    atomic.Int64 // balance replays actually executed
-	rebalanceRuns  atomic.Int64 // rebalance decisions actually computed
-	matpartRuns    atomic.Int64 // 2D matrix arrangements actually computed
-	machineUploads atomic.Int64 // machine files accepted
+	DynpartRuns, BalanceRuns, RebalanceRuns, MatpartRuns, MachineUploads atomic.Int64
 
-	quotaRejections atomic.Int64 // requests rejected by the per-tenant quota
-
-	quotaMu       sync.Mutex
-	quotaByTenant map[string]int64
+	QuotaRejections atomic.Int64
+	quotaMu         sync.Mutex
+	quotaByTenant   map[string]int64
 }
+
+// counterFields pairs, by field index, each int64 counter of
+// ShardCounters with the shardStats atomic of the same name, so a counter
+// is declared in those two structs and nowhere else. A ShardCounters
+// counter without its atomic fails at start-up.
+var counterFields = func() (pairs [][2]int) {
+	ct, st := reflect.TypeFor[ShardCounters](), reflect.TypeFor[shardStats]()
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		sf, ok := st.FieldByName(f.Name)
+		if !ok || sf.Type != reflect.TypeFor[atomic.Int64]() {
+			panic("service: ShardCounters." + f.Name + " has no shardStats counter")
+		}
+		pairs = append(pairs, [2]int{i, sf.Index[0]})
+	}
+	return pairs
+}()
 
 // rejectQuota records one quota rejection for the tenant.
 func (s *shardStats) rejectQuota(tenant string) {
-	s.quotaRejections.Add(1)
+	s.QuotaRejections.Add(1)
 	s.quotaMu.Lock()
 	if s.quotaByTenant == nil {
 		s.quotaByTenant = make(map[string]int64)
@@ -65,30 +71,10 @@ func (s *shardStats) rejectQuota(tenant string) {
 
 // counters captures the shard's counters as one addable value.
 func (s *shardStats) counters() ShardCounters {
-	c := ShardCounters{
-		CacheHits:         s.cacheHits.Load(),
-		CacheMisses:       s.cacheMisses.Load(),
-		CacheCoalesced:    s.cacheCoalesced.Load(),
-		CacheEvictions:    s.cacheEvictions.Load(),
-		Sweeps:            s.sweeps.Load(),
-		StoreLoaded:       s.storeLoaded.Load(),
-		StoreHits:         s.storeHits.Load(),
-		StoreSpills:       s.storeSpills.Load(),
-		StoreCorrupt:      s.storeCorrupt.Load(),
-		StoreErrors:       s.storeErrors.Load(),
-		TransferRuns:      s.transferRuns.Load(),
-		TransferProbes:    s.transferProbes.Load(),
-		TransferFallbacks: s.transferFallbacks.Load(),
-		BatchSolves:       s.batchSolves.Load(),
-		BatchJoined:       s.batchJoined.Load(),
-		BatchWindowSkips:  s.batchWindowSkips.Load(),
-		CommCalibrations:  s.commCalibrations.Load(),
-		DynpartRuns:       s.dynpartRuns.Load(),
-		BalanceRuns:       s.balanceRuns.Load(),
-		RebalanceRuns:     s.rebalanceRuns.Load(),
-		MatpartRuns:       s.matpartRuns.Load(),
-		MachineUploads:    s.machineUploads.Load(),
-		QuotaRejections:   s.quotaRejections.Load(),
+	var c ShardCounters
+	cv, sv := reflect.ValueOf(&c).Elem(), reflect.ValueOf(s).Elem()
+	for _, f := range counterFields {
+		cv.Field(f[0]).SetInt(sv.Field(f[1]).Addr().Interface().(*atomic.Int64).Load())
 	}
 	s.quotaMu.Lock()
 	if len(s.quotaByTenant) > 0 {
@@ -139,7 +125,8 @@ func (f *frontStats) retire(c ShardCounters) {
 // per shard (ShardSnapshot) and once summed across shards plus retired
 // predecessors (Snapshot). The schema is pinned by a golden-file test
 // (stats_golden_test.go): new counters must be added there deliberately,
-// never by accident.
+// never by accident. Each int64 counter is fed by the shardStats atomic of
+// the same name (counterFields).
 type ShardCounters struct {
 	// Cache counters: a hit returns a fitted model with no work, a miss
 	// triggers one fill, a coalesced request waited on a fill another
@@ -201,29 +188,10 @@ type ShardCounters struct {
 
 // add accumulates o into c (map keys merged by sum).
 func (c *ShardCounters) add(o ShardCounters) {
-	c.CacheHits += o.CacheHits
-	c.CacheMisses += o.CacheMisses
-	c.CacheCoalesced += o.CacheCoalesced
-	c.CacheEvictions += o.CacheEvictions
-	c.Sweeps += o.Sweeps
-	c.StoreLoaded += o.StoreLoaded
-	c.StoreHits += o.StoreHits
-	c.StoreSpills += o.StoreSpills
-	c.StoreCorrupt += o.StoreCorrupt
-	c.StoreErrors += o.StoreErrors
-	c.TransferRuns += o.TransferRuns
-	c.TransferProbes += o.TransferProbes
-	c.TransferFallbacks += o.TransferFallbacks
-	c.BatchSolves += o.BatchSolves
-	c.BatchJoined += o.BatchJoined
-	c.BatchWindowSkips += o.BatchWindowSkips
-	c.CommCalibrations += o.CommCalibrations
-	c.DynpartRuns += o.DynpartRuns
-	c.BalanceRuns += o.BalanceRuns
-	c.RebalanceRuns += o.RebalanceRuns
-	c.MatpartRuns += o.MatpartRuns
-	c.MachineUploads += o.MachineUploads
-	c.QuotaRejections += o.QuotaRejections
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for _, f := range counterFields {
+		cv.Field(f[0]).SetInt(cv.Field(f[0]).Int() + ov.Field(f[0]).Int())
+	}
 	if len(o.QuotaRejectionsByTenant) > 0 {
 		if c.QuotaRejectionsByTenant == nil {
 			c.QuotaRejectionsByTenant = make(map[string]int64, len(o.QuotaRejectionsByTenant))

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -143,5 +144,44 @@ func TestStatsEndpointMatchesSchema(t *testing.T) {
 		if _, ok := res[k]; !ok && k != "quota_rejections_by_tenant" {
 			t.Errorf("/stats is missing schema key %q", k)
 		}
+	}
+}
+
+// TestCountersCarryEveryField: every exported shardStats counter reaches
+// the ShardCounters field of its own name through counters(), and add()
+// sums each field into itself — a counter wired to the wrong field, or to
+// none, fails here.
+func TestCountersCarryEveryField(t *testing.T) {
+	var s shardStats
+	sv := reflect.ValueOf(&s).Elem()
+	want := map[string]int64{}
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Type().Field(i)
+		if f.IsExported() && f.Type == reflect.TypeFor[atomic.Int64]() {
+			want[f.Name] = int64(1000 + i)
+			sv.Field(i).Addr().Interface().(*atomic.Int64).Store(want[f.Name])
+		}
+	}
+	c := s.counters()
+	var sum ShardCounters
+	sum.add(c)
+	sum.add(c)
+	cv, sumv := reflect.ValueOf(c), reflect.ValueOf(sum)
+	published := 0
+	for i := 0; i < cv.NumField(); i++ {
+		f := cv.Type().Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		published++
+		if got := cv.Field(i).Int(); got != want[f.Name] {
+			t.Errorf("counters().%s = %d, want %d", f.Name, got, want[f.Name])
+		}
+		if got := sumv.Field(i).Int(); got != 2*want[f.Name] {
+			t.Errorf("two add()s of %s = %d, want %d", f.Name, got, 2*want[f.Name])
+		}
+	}
+	if published != len(want) {
+		t.Errorf("ShardCounters publishes %d counters, shardStats declares %d", published, len(want))
 	}
 }

@@ -33,7 +33,7 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 	if err != nil || donors.Len() == 0 {
 		// An unreadable donor index is a reason to not transfer, never a
 		// reason to fail the fill.
-		sh.stats.transferFallbacks.Add(1)
+		sh.stats.TransferFallbacks.Add(1)
 		return sh.sweptKey(tenant, key, sizes)
 	}
 
@@ -55,7 +55,7 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 	var res *transfer.Result
 	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
 		prober := func(d int) (core.Point, error) {
-			sh.stats.transferProbes.Add(1)
+			sh.stats.TransferProbes.Add(1)
 			return core.Benchmark(k, d, sh.precision)
 		}
 		var aerr error
@@ -66,10 +66,10 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 		return modelstore.Swept{}, err
 	}
 	if res.Fallback != "" {
-		sh.stats.transferFallbacks.Add(1)
+		sh.stats.TransferFallbacks.Add(1)
 		return sh.sweptKey(tenant, key, sizes)
 	}
-	sh.stats.transferRuns.Add(1)
+	sh.stats.TransferRuns.Add(1)
 	prov := fmt.Sprintf("donor=%s scale=%.6g probes=%d/%d maxdiff=%.3g",
 		res.Donor, res.Scale, res.Measured, len(sizes), res.MaxDisagree)
 	return modelstore.Swept{Kernel: dev.Name(), Points: res.Points, Transfer: prov}, nil
