@@ -29,8 +29,12 @@ test:
 vet:
 	$(GO) vet ./...
 
+## race: the whole suite under the race detector, then the Student-t
+## quantile memo ten times over (-count=10: every sweep's stopping rule
+## reads it, and the service's pool runs sweeps concurrently)
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TQuantile' ./internal/stats
 
 # One invocation per target: -fuzz must match exactly one fuzz function,
 # and -run='^$' skips the unit tests that already ran under tier1.

@@ -25,6 +25,7 @@ import (
 	"fupermod/internal/experiments"
 	"fupermod/internal/kernels"
 	"fupermod/internal/platform"
+	"fupermod/internal/service"
 	"fupermod/internal/trace"
 )
 
@@ -36,6 +37,7 @@ func perfSuite() []bench.PerfBenchmark {
 		bench.PerfBenchmark{Name: "experiments/fig3", F: benchGenerator(experiments.Fig3)},
 		bench.PerfBenchmark{Name: "experiments/e1", F: benchGenerator(experiments.E1)},
 		bench.PerfBenchmark{Name: "sweep/parallel-64", F: benchSweepParallel},
+		bench.PerfBenchmark{Name: "sweep/noisy-40", F: benchSweepNoisy},
 	)
 }
 
@@ -69,6 +71,26 @@ func benchSweepParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.SweepParallel(k, sizes, prec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSweepNoisy measures the sweep a cold-fill cache miss runs: a serial
+// sweep of a fresh 10%-noise virtual kernel over a 40-size grid at the
+// service's stopping rule, so most points repeat the confidence test
+// several times. Each iteration re-seeds the kernel, so every op measures
+// the same noise stream.
+func benchSweepNoisy(b *testing.B) {
+	sizes := core.LogSizes(16, 60000, 40)
+	noise := platform.NoiseConfig{Rel: 0.1, OutlierP: 0.02, OutlierScale: 0.5}
+	for i := 0; i < b.N; i++ {
+		meter := platform.NewMeter(platform.FastCore("f"), noise, 1)
+		k, err := kernels.NewVirtual("gemm-b128", meter, service.GEMMBlockFlops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Sweep(k, sizes, service.DefaultSweepPrecision); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -128,12 +128,12 @@ func (p Precision) Validate() error {
 		return errors.New("core: precision needs MinReps >= 1")
 	case p.MaxReps < p.MinReps:
 		return fmt.Errorf("core: precision MaxReps %d < MinReps %d", p.MaxReps, p.MinReps)
-	case p.Confidence <= 0 || p.Confidence >= 1:
+	case !(p.Confidence > 0 && p.Confidence < 1):
 		return fmt.Errorf("core: confidence %g outside (0,1)", p.Confidence)
-	case p.RelErr <= 0:
+	case !(p.RelErr > 0):
 		return fmt.Errorf("core: relative error target %g must be positive", p.RelErr)
-	case p.MaxSeconds < 0:
-		return fmt.Errorf("core: negative time budget %g", p.MaxSeconds)
+	case !(p.MaxSeconds >= 0):
+		return fmt.Errorf("core: time budget %g must be non-negative", p.MaxSeconds)
 	case p.Warmup < 0:
 		return fmt.Errorf("core: negative warmup count %d", p.Warmup)
 	}

@@ -152,6 +152,11 @@ func TestPrecisionValidate(t *testing.T) {
 		{MinReps: 1, MaxReps: 5, Confidence: 1.2, RelErr: 0.1},
 		{MinReps: 1, MaxReps: 5, Confidence: 0.9, RelErr: 0},
 		{MinReps: 1, MaxReps: 5, Confidence: 0.9, RelErr: 0.1, MaxSeconds: -1},
+		// NaN fails every comparison, so each check must be written to
+		// reject it rather than to catch the out-of-range side.
+		{MinReps: 1, MaxReps: 5, Confidence: math.NaN(), RelErr: 0.1},
+		{MinReps: 1, MaxReps: 5, Confidence: 0.9, RelErr: math.NaN()},
+		{MinReps: 1, MaxReps: 5, Confidence: 0.9, RelErr: 0.1, MaxSeconds: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

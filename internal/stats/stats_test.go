@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -193,11 +195,188 @@ func TestTQuantileErrors(t *testing.T) {
 	if _, err := TQuantile(1, 5); err == nil {
 		t.Error("p=1 should error")
 	}
+	if _, err := TQuantile(math.NaN(), 5); err == nil {
+		t.Error("p=NaN should error")
+	}
+	var s Summary
+	s.AddAll([]float64{1, 2, 3})
+	if _, err := s.CI(math.NaN()); err == nil {
+		t.Error("CI at a NaN level should error")
+	}
 	if _, err := TQuantile(0.5, 0); err == nil {
 		t.Error("df=0 should error")
 	}
 	if q, err := TQuantile(0.5, 7); err != nil || q != 0 {
 		t.Errorf("median should be 0, got %g, %v", q, err)
+	}
+}
+
+// memoLevels are the quantile levels the memo tests cover: the upper
+// tails a confidence level asks for, and their complements (the negative
+// branch).
+func memoLevels() []float64 {
+	upper := []float64{0.6, 0.9, 0.95, 0.975, 0.995, 0.9995}
+	levels := append([]float64(nil), upper...)
+	for _, p := range upper {
+		levels = append(levels, 1-p)
+	}
+	return levels
+}
+
+// memoDFs are df 1–64 plus a few large df.
+func memoDFs() []int {
+	dfs := []int{200, 1000, 100000}
+	for df := 1; df <= 64; df++ {
+		dfs = append(dfs, df)
+	}
+	return dfs
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// memoLen reports how many pairs a memo holds.
+func memoLen(c *quantileMemo) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// TestTQuantileMemoBitIdentical pins the memo to the bisection bit for
+// bit, on the call that fills an entry and on the call it serves.
+func TestTQuantileMemoBitIdentical(t *testing.T) {
+	var m quantileMemo
+	for _, p := range memoLevels() {
+		for _, df := range memoDFs() {
+			want, err := tQuantile(p, df)
+			if err != nil {
+				t.Fatalf("tQuantile(%g, %d): %v", p, df, err)
+			}
+			for call := 1; call <= 2; call++ {
+				got, err := m.quantile(p, df)
+				if err != nil || !sameBits(got, want) {
+					t.Fatalf("memo call %d at (%g, %d) = %v, %v; want %v", call, p, df, got, err, want)
+				}
+				got, err = TQuantile(p, df)
+				if err != nil || !sameBits(got, want) {
+					t.Fatalf("TQuantile call %d at (%g, %d) = %v, %v; want %v", call, p, df, got, err, want)
+				}
+			}
+		}
+	}
+	if got, want := memoLen(&m), len(memoLevels())*len(memoDFs()); got != want {
+		t.Errorf("memo holds %d pairs, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = TQuantile(0.975, 5) }); allocs != 0 {
+		t.Errorf("a memo hit allocates %v times, want 0", allocs)
+	}
+}
+
+// TestTQuantileMemoConcurrent: goroutines racing for overlapping pairs,
+// misses and hits alike, each get the serial answer, and every pair is
+// stored once.
+func TestTQuantileMemoConcurrent(t *testing.T) {
+	type pair struct {
+		p  float64
+		df int
+	}
+	var pairs []pair
+	var want []float64
+	for _, p := range []float64{0.975, 0.025, 0.995} {
+		for df := 1; df <= 24; df++ {
+			q, err := tQuantile(p, df)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, pair{p, df})
+			want = append(want, q)
+		}
+	}
+	var m quantileMemo
+	const workers = 8
+	start := make(chan struct{})
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			// Each worker walks the pairs twice from its own offset, so
+			// workers overlap on misses and on hits.
+			for i := 0; i < 2*len(pairs); i++ {
+				j := (w*len(pairs)/workers + i) % len(pairs)
+				got, err := m.quantile(pairs[j].p, pairs[j].df)
+				if err != nil || !sameBits(got, want[j]) {
+					errs <- fmt.Errorf("worker %d at %+v: got %v, %v; want %v", w, pairs[j], got, err, want[j])
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := memoLen(&m); got != len(pairs) {
+		t.Errorf("memo holds %d pairs, want %d", got, len(pairs))
+	}
+}
+
+// TestTQuantileMemoInvalidInput: invalid input errors before the memo,
+// whose size stays unchanged. A NaN level would otherwise add an entry on
+// every call, since NaN never equals itself.
+func TestTQuantileMemoInvalidInput(t *testing.T) {
+	before := memoLen(&tQuantileMemo)
+	for _, c := range []struct {
+		p  float64
+		df int
+	}{
+		{0, 5}, {1, 5}, {-0.1, 5}, {1.5, 5}, {math.NaN(), 5}, {math.NaN(), 5},
+		{math.Inf(1), 5}, {math.Inf(-1), 5}, {math.Copysign(0, -1), 5},
+		{0.975, 0}, {0.975, -3},
+	} {
+		if q, err := TQuantile(c.p, c.df); err == nil {
+			t.Errorf("TQuantile(%g, %d) = %g, want an error", c.p, c.df, q)
+		}
+	}
+	if after := memoLen(&tQuantileMemo); after != before {
+		t.Errorf("invalid input grew the memo from %d to %d pairs", before, after)
+	}
+}
+
+// TestTQuantileMemoCap: a full memo still answers pairs past the cap,
+// bit-identically, without storing them.
+func TestTQuantileMemoCap(t *testing.T) {
+	var m quantileMemo
+	for df := 1; df <= quantileMemoCap; df++ {
+		if _, err := m.quantile(0.975, df); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := memoLen(&m); got != quantileMemoCap {
+		t.Fatalf("filled memo holds %d pairs, want %d", got, quantileMemoCap)
+	}
+	for _, c := range []struct {
+		p  float64
+		df int
+	}{
+		{0.975, quantileMemoCap + 1}, {0.975, 5 * quantileMemoCap}, {0.995, 3}, {0.05, 7},
+		{0.975, 5}, // stored before the cap
+	} {
+		want, err := tQuantile(c.p, c.df)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call <= 2; call++ {
+			if got, err := m.quantile(c.p, c.df); err != nil || !sameBits(got, want) {
+				t.Errorf("call %d at (%g, %d) = %v, %v; want %v", call, c.p, c.df, got, err, want)
+			}
+		}
+	}
+	if got := memoLen(&m); got != quantileMemoCap {
+		t.Errorf("pairs past the cap grew the memo to %d, want %d", got, quantileMemoCap)
 	}
 }
 

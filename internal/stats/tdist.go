@@ -1,6 +1,9 @@
 package stats
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // TCDF returns the cumulative distribution function of the Student-t
 // distribution with df degrees of freedom evaluated at t. It is expressed
@@ -30,19 +33,28 @@ func TCDF(t float64, df int) (float64, error) {
 // located by monotone bisection on TCDF, starting from a normal-based
 // bracket; 1e-12 absolute accuracy is far below anything the benchmark
 // layer can resolve.
+//
+// The benchmark loop asks for the same few (p, df) pairs on every
+// repetition, so each pair is bisected once and then served from a
+// process-wide memo; the values are bit-identical to a fresh bisection.
 func TQuantile(p float64, df int) (float64, error) {
 	if df < 1 {
 		return 0, errors.New("stats: t distribution needs df >= 1")
 	}
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) {
 		return 0, errors.New("stats: quantile level must be in (0, 1)")
 	}
+	return tQuantileMemo.quantile(p, df)
+}
+
+// tQuantile is TQuantile's bisection, for a valid (p, df).
+func tQuantile(p float64, df int) (float64, error) {
 	if p == 0.5 {
 		return 0, nil
 	}
 	// Symmetric: solve for the upper tail, then flip.
 	if p < 0.5 {
-		q, err := TQuantile(1-p, df)
+		q, err := tQuantile(1-p, df)
 		return -q, err
 	}
 	// Bracket: t=0 gives CDF 1/2 < p. Grow the upper bound until it
@@ -74,4 +86,54 @@ func TQuantile(p float64, df int) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
+}
+
+// quantileMemoCap bounds a quantileMemo. A precision policy asks for one
+// level at df = MinReps−1 … MaxReps−1, so a process sees a few dozen
+// pairs; the cap leaves room for many policies, and a full memo holds
+// about 100 KB.
+const quantileMemoCap = 1024
+
+// tQuantileMemo is the process-wide memo behind TQuantile. It is package
+// state callers cannot observe: it holds only values tQuantile computes
+// deterministically from its arguments, so a hit returns exactly the bits
+// a fresh bisection would.
+var tQuantileMemo quantileMemo
+
+// quantileMemo caches tQuantile per (p, df). It is safe for concurrent
+// use and allocation-free on a hit. It stores at most quantileMemoCap
+// pairs; pairs past the cap are bisected on every call. A float key is
+// sound because valid levels exclude NaN and ±0, the only float64 values
+// whose equality disagrees with their bits.
+type quantileMemo struct {
+	m  sync.Map   // quantileKey → float64
+	mu sync.Mutex // serialises stores, so n never passes the cap
+	n  int
+}
+
+type quantileKey struct {
+	p  float64
+	df int
+}
+
+// quantile returns tQuantile(p, df) for a valid pair. A miss bisects the
+// pair and stores it while the memo has room; concurrent misses on one
+// pair may each bisect it, and store the same bits. Errors are not stored.
+func (c *quantileMemo) quantile(p float64, df int) (float64, error) {
+	k := quantileKey{p, df}
+	if q, ok := c.m.Load(k); ok {
+		return q.(float64), nil
+	}
+	q, err := tQuantile(p, df)
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	if c.n < quantileMemoCap {
+		if _, loaded := c.m.LoadOrStore(k, q); !loaded {
+			c.n++
+		}
+	}
+	c.mu.Unlock()
+	return q, nil
 }

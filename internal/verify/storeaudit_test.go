@@ -149,3 +149,28 @@ func TestAuditStoreReportsCorruptAndSkipsMachines(t *testing.T) {
 		t.Errorf("stray file not reported corrupt: %+v", audit.Corrupt)
 	}
 }
+
+// TestAuditStoreRejectsNaNConfidence: the key codec accepts a NaN
+// confidence, so a store file can carry one into the replay, which must
+// refuse it with a clean error instead of replaying a sweep whose
+// stopping test compares against NaN.
+func TestAuditStoreRejectsNaNConfidence(t *testing.T) {
+	dir := t.TempDir()
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := putSweep(t, store, "fast", 1)
+	ent, _, err := store.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key.Prec = "1:1:NaN:0.05:300:0"
+	if err := store.Put(key, ent.Kernel, ent.Points); err != nil {
+		t.Fatalf("storing a NaN-confidence key: %v", err)
+	}
+	audit, err := AuditStore(dir)
+	if err == nil || !strings.Contains(err.Error(), "confidence NaN") {
+		t.Errorf("AuditStore over a NaN-confidence entry = %+v, %v; want a confidence error", audit, err)
+	}
+}
