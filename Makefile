@@ -6,7 +6,7 @@
 GO       ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all tier1 tier2 build test vet race fuzz-smoke service route rebalance transfer matpart commmodel verify perf-smoke e2ebench-check update-golden
+.PHONY: all tier1 tier2 build test vet race fuzz-smoke service route rebalance transfer store matpart commmodel verify perf-smoke e2ebench-check update-golden
 
 all: tier1
 
@@ -15,10 +15,10 @@ tier1: build test
 
 ## tier2: tier1 plus vet, -race, fuzz smokes, the partition service
 ## gate, the routing-tier gate, the rebalancing gate, the model-transfer
-## gate, the 2D matrix-partitioning gate, the communication-model gate,
-## the verification suite, the perf-suite smoke and the benchmark-module
-## check
-tier2: tier1 vet race fuzz-smoke service route rebalance transfer matpart commmodel verify perf-smoke e2ebench-check
+## gate, the model-store gate, the 2D matrix-partitioning gate, the
+## communication-model gate, the verification suite, the perf-suite smoke
+## and the benchmark-module check
+tier2: tier1 vet race fuzz-smoke service route rebalance transfer store matpart commmodel verify perf-smoke e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz='^FuzzCacheStore$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzMatpartTiling$$' -fuzztime=$(FUZZTIME) ./internal/matpart
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMatchesRef$$' -fuzztime=$(FUZZTIME) ./internal/service/modelstore
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreFile$$' -fuzztime=$(FUZZTIME) ./internal/service/modelstore
 	$(GO) test -run='^$$' -fuzz='^FuzzRing$$' -fuzztime=$(FUZZTIME) ./internal/service/ring
 
 ## service: vet + race-test the partition service (incl. the on-disk model
@@ -81,6 +82,16 @@ transfer:
 	$(GO) test -race -count=1 ./internal/transfer
 	$(GO) test -race -count=1 -run 'Transfer|DiffTransfer' ./internal/verify ./internal/service ./cmd/fupermod-serve ./cmd/fupermod-bench
 	$(GO) test -race -count=10 -run 'DonorIndex' ./internal/service ./internal/service/modelstore
+
+## store: vet + race-test the on-disk model store — append files, the
+## per-entry index, torn-tail healing — then, ten times over, the tests in
+## which appends race readers and a second writer (-count=1 first: they
+## assert live interleavings of locked appends and reads, which a cached
+## pass would not exercise)
+store:
+	$(GO) vet ./internal/service/modelstore
+	$(GO) test -race -count=1 ./internal/service/modelstore
+	$(GO) test -race -count=10 -run 'AppendsRace|SecondWriter|ConcurrentWriters|NeverSeenEmpty' ./internal/service/modelstore
 
 ## matpart: vet + race-test the 2D matrix-partitioning layer end to end —
 ## the matpart package (DP oracle, enum cross-check, grid discretisation),

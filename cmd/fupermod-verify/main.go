@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		if !audit.OK() {
-			return fmt.Errorf("%w: %d corrupt files, %d divergent entries",
+			return fmt.Errorf("%w: %d corrupt entries, %d divergent entries",
 				errViolations, len(audit.Corrupt), len(audit.Violations))
 		}
 		return nil

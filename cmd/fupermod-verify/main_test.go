@@ -79,6 +79,23 @@ func TestRunStoreAudit(t *testing.T) {
 	}
 }
 
+// TestRunStoreAuditMissingDir: auditing a directory that does not exist
+// fails the run and creates nothing.
+func TestRunStoreAuditMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "no", "such", "dir")
+	var sb strings.Builder
+	err := run([]string{"-store-dir", dir}, &sb)
+	if err == nil || errors.Is(err, errViolations) {
+		t.Fatalf("audit of a missing store: err = %v, want a store error\n%s", err, sb.String())
+	}
+	if strings.Contains(sb.String(), "store intact") {
+		t.Errorf("a missing store was reported intact:\n%s", sb.String())
+	}
+	if _, err := os.Stat(filepath.Dir(filepath.Dir(dir))); !os.IsNotExist(err) {
+		t.Fatalf("the audit created directories toward %s (stat err %v)", dir, err)
+	}
+}
+
 // TestRunWorkersDeterministic pins the -workers flag: the verification
 // report must be byte-identical at any worker count.
 func TestRunWorkersDeterministic(t *testing.T) {

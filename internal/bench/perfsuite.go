@@ -52,6 +52,7 @@ func PerfSuite() []PerfBenchmark {
 		{Name: "transfer/similar", F: benchTransferSimilar},
 		{Name: "modelstore/donors", F: benchStoreDonors(indexedDonors)},
 		{Name: "modelstore/donors-ref", F: benchStoreDonors(fullReadDonors)},
+		{Name: "modelstore/put", F: benchStorePut},
 		{Name: "matpart/oracle-dp", F: benchMatpartOracle},
 		{Name: "matpart/fpmgrid", F: benchMatpartFPMGrid},
 	}
@@ -449,6 +450,50 @@ func benchStoreDonors(search donorSearch) func(b *testing.B) {
 				b.Fatalf("donor search returned %d candidates", len(cands))
 			}
 			sink += cands[0].Distance
+		}
+	}
+}
+
+// putStoreEntries is the populated store a tracked spill lands in.
+const putStoreEntries = 1000
+
+// benchStorePut measures one spill — a Put of a 40-point entry, a new key
+// each time — into a store already holding putStoreEntries entries, with
+// its index built, as a service fill's spill finds it after the fill's
+// own disk lookup. There is no -ref twin: the temp-file-and-rename spill
+// it replaced is gone.
+func benchStorePut(b *testing.B) {
+	dir, err := os.MkdirTemp("", "fupermod-perf-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := modelstore.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prec := modelstore.EncodePrecision(core.Precision{MinReps: 3, MaxReps: 8, Confidence: 0.95, RelErr: 0.05})
+	key := func(i int) modelstore.Key {
+		return modelstore.Key{Tenant: "default", Device: fmt.Sprintf("dev-%d", i), Seed: 1, Noise: 0.02,
+			Lo: 16, Hi: 60000, N: 40, Prec: prec}
+	}
+	pts := perfPoints(40)
+	for i := 0; i < putStoreEntries; i++ {
+		if err := st.Put(key(i), "gemm-b128", pts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.Stats(); err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]modelstore.Key, b.N)
+	for i := range keys {
+		keys[i] = key(putStoreEntries + i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Put(keys[i], "gemm-b128", pts); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

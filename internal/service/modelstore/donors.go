@@ -24,16 +24,16 @@ func DonorID(k Key) string {
 		k.Seed, fmtG(k.Noise), k.Lo, k.Hi, k.N)
 }
 
-// DonorPool loads every entry eligible to donate its curve to the given
-// key: intact, at least two points (a single point has no shape), not the
-// key itself, and not itself transferred — warm-starting from a
+// DonorPool loads every live entry eligible to donate its curve to the
+// given key: intact, at least two points (a single point has no shape),
+// not the key itself, and not itself transferred — warm-starting from a
 // warm-start would compound the approximation bounds silently, so
-// transfer provenance disqualifies an entry as a donor. Corrupt files are
-// skipped (the fill path heals them); the pool is sorted by DonorID so
+// transfer provenance disqualifies an entry as a donor. Corrupt entries
+// are skipped (the fill path heals them); the pool is sorted by DonorID so
 // two replicas scanning the same directory rank identically.
 //
-// DonorPool reads every file. Fills search the index instead (Donors);
-// DonorPool is the reference that search is tested against.
+// DonorPool reads every live entry. Fills search the index instead
+// (Donors); DonorPool is the reference that search is tested against.
 func (s *Store) DonorPool(exclude Key) ([]transfer.Donor, error) {
 	entries, _, err := s.Load()
 	if err != nil {
@@ -52,17 +52,19 @@ func (s *Store) DonorPool(exclude Key) ([]transfer.Donor, error) {
 
 // StoreStats is a point-in-time census of the store directory.
 type StoreStats struct {
-	// Entries counts intact entry files; Transferred of those carry
-	// transfer provenance (so Entries - Transferred is the donor-eligible
-	// upper bound before the per-key filters).
+	// Entries counts keys with a live intact entry; Transferred of those
+	// carry transfer provenance (so Entries - Transferred is the
+	// donor-eligible upper bound before the per-key filters).
 	Entries     int64 `json:"entries"`
 	Transferred int64 `json:"transferred"`
-	// Bytes is the total size of all *.points files, corrupt included —
-	// it answers "what does this directory cost on disk".
+	// Bytes is the total size of all *.points files, corrupt and
+	// superseded entries included — it answers "what does this directory
+	// cost on disk".
 	Bytes int64 `json:"bytes"`
-	// CorruptFiles counts files that failed to decode.
+	// CorruptFiles counts corrupt entries — torn tails, damage in the
+	// middle of a file (counted until compaction), unreadable files.
 	CorruptFiles int64 `json:"corrupt_files"`
-	// Tenants counts intact entries per tenant.
+	// Tenants counts live intact entries per tenant.
 	Tenants map[string]int64 `json:"tenants,omitempty"`
 }
 
@@ -81,30 +83,40 @@ func (s *StoreStats) Add(o StoreStats) {
 }
 
 // Stats reports the store census from the index (index.go): the same
-// refresh a donor query makes — one directory listing, one stat per entry
-// file, a decode only for files new or changed since the last query — then
-// a count over the records.
+// refresh a donor query makes — a stat of the directory and of each file,
+// a read only of what changed since the last query — then a count over
+// the records.
 func (s *Store) Stats() (StoreStats, error) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
-	if err := s.refreshLocked(); err != nil {
+	if err := s.refreshLocked(nil); err != nil {
 		return StoreStats{}, err
 	}
 	st := StoreStats{}
-	for _, sl := range s.idx {
-		st.Bytes += sl.sig.size
-		if sl.rec.corrupt {
+	for _, fr := range s.files {
+		st.Bytes += fr.sig.size
+		for _, r := range fr.recs {
+			if r.corrupt {
+				st.CorruptFiles++
+			}
+		}
+		if fr.rest != nil {
 			st.CorruptFiles++
+		}
+	}
+	for _, ks := range s.keys {
+		r := ks.live
+		if r == nil {
 			continue
 		}
 		st.Entries++
-		if sl.rec.transferred {
+		if r.transferred {
 			st.Transferred++
 		}
 		if st.Tenants == nil {
 			st.Tenants = make(map[string]int64)
 		}
-		st.Tenants[sl.rec.key.Tenant]++
+		st.Tenants[r.key.Tenant]++
 	}
 	return st, nil
 }

@@ -166,18 +166,12 @@ func TestStoreStats(t *testing.T) {
 	if err := s.PutTransfer(testKey("tenant-b", "copied"), "k", curvePoints(3), "donor=x scale=1"); err != nil {
 		t.Fatal(err)
 	}
-	// One corrupt file: truncate a real entry so the trailer is gone.
+	// One corrupt entry: tear the last one so its trailer is gone.
 	torn := testKey("tenant-b", "torn")
 	if err := s.Put(torn, "k", curvePoints(4)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(s.Path(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.Path(torn), data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tearEntry(t, s, torn)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -14,3 +14,12 @@ func fileID(fi os.FileInfo) (dev, ino uint64) {
 	}
 	return 0, 0
 }
+
+// isLinked reports whether fi's file still has a name: an append file
+// whose directory entry was removed must not receive another entry.
+func isLinked(fi os.FileInfo) bool {
+	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
+		return st.Nlink > 0
+	}
+	return true
+}

@@ -42,7 +42,7 @@ func openShared(dir string) *Store {
 	if s, ok := opened[key]; ok {
 		return s
 	}
-	s := &Store{dir: dir, flights: make(map[string]*flight)}
+	s := &Store{dir: dir, flights: make(map[Key]*flight)}
 	opened[key] = s
 	return s
 }
@@ -122,12 +122,11 @@ func (s *Store) FillProv(ctx context.Context, k Key, sweep func() (Swept, error)
 	if err := k.Validate(); err != nil {
 		return Entry{}, FillInfo{}, err
 	}
-	id := k.id()
 	s.flightMu.Lock()
 	if s.flights == nil {
-		s.flights = make(map[string]*flight)
+		s.flights = make(map[Key]*flight)
 	}
-	if f, ok := s.flights[id]; ok {
+	if f, ok := s.flights[k]; ok {
 		s.flightMu.Unlock()
 		select {
 		case <-f.done:
@@ -146,7 +145,7 @@ func (s *Store) FillProv(ctx context.Context, k Key, sweep func() (Swept, error)
 		return f.entry, info, nil
 	}
 	f := &flight{done: make(chan struct{})}
-	s.flights[id] = f
+	s.flights[k] = f
 	s.flightMu.Unlock()
 
 	// Deregister before publishing, however the leader exits: callers
@@ -162,7 +161,7 @@ func (s *Store) FillProv(ctx context.Context, k Key, sweep func() (Swept, error)
 			ent, info, err = f.entry, f.info, f.err
 		}
 		s.flightMu.Lock()
-		delete(s.flights, id)
+		delete(s.flights, k)
 		s.flightMu.Unlock()
 		close(f.done)
 	}()

@@ -28,46 +28,48 @@ func shapePoints(scale, p float64, knee int) []core.Point {
 	return pts
 }
 
-// writeExternal writes one entry the way another process sharing the
-// directory would — its own temp file and rename, not this handle's Put.
-func writeExternal(t *testing.T, s *Store, k Key, pts []core.Point, prov string) {
+// writeExternal writes a file of entries the way another writer sharing
+// the directory would — a temp file renamed into place, so the name gets a
+// new identity — under a name of its own: a one-entry file is the layout
+// every store file had before append files.
+func writeExternal(t *testing.T, s *Store, name string, entries ...Entry) {
 	t.Helper()
-	data, err := encode(k, "k", pts, prov)
-	if err != nil {
-		t.Fatal(err)
+	var data []byte
+	for _, e := range entries {
+		b, err := encode(e.Key, "k", e.Points, e.Transfer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, b...)
 	}
 	tmp := filepath.Join(s.Dir(), ".external-write")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(tmp, s.Path(k)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.Dir(), name)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// refCensus is the census Stats took before the index: stat, read and
-// decode every file.
+// refCensus is the census a full re-read takes: LoadRef's live entries and
+// corrupt entries, and a stat of every file.
 func refCensus(t *testing.T, s *Store) StoreStats {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(s.Dir(), "*.points"))
+	entries, corrupt, err := s.LoadRef()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := StoreStats{}
-	for _, path := range names {
-		if fi, err := os.Stat(path); err == nil {
+	st := StoreStats{CorruptFiles: int64(len(corrupt))}
+	names, err := entryFiles(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if fi, err := os.Stat(filepath.Join(s.Dir(), name)); err == nil {
 			st.Bytes += fi.Size()
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			st.CorruptFiles++
-			continue
-		}
-		e, err := Decode(path, data)
-		if err != nil {
-			st.CorruptFiles++
-			continue
-		}
+	}
+	for _, e := range entries {
 		st.Entries++
 		if e.Transfer != "" {
 			st.Transferred++
@@ -167,7 +169,9 @@ func checkIndexMatchesRef(t *testing.T, s *Store, exclude Key, step string) {
 
 // TestDonorIndexMatchesDonorPool: the index answers exactly what a full
 // re-read answers, on a store holding every kind of non-donor, and after
-// each change another writer makes to the directory behind its back.
+// each change another writer makes to the directory behind its back —
+// files added, appended to, replaced, truncated and removed, an entry
+// superseded from a higher-ranked file, damage in the middle of a file.
 func TestDonorIndexMatchesDonorPool(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -191,26 +195,20 @@ func TestDonorIndexMatchesDonorPool(t *testing.T) {
 	put(testKey("warm", "copied"), shapePoints(2, 1.1, 0), "donor=x scale=2")
 	put(testKey("warm", "one-point"), []core.Point{{D: 16, Time: 1, Reps: 1}}, "")
 	put(testKey("warm", "one-size"), []core.Point{{D: 64, Time: 1, Reps: 1}, {D: 64, Time: 1.1, Reps: 1}}, "")
-	torn := testKey("warm", "torn")
-	put(torn, shapePoints(1, 1.05, 0), "")
-	data, err := os.ReadFile(s.Path(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.Path(torn), data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The same DonorID under another precision: a distinct entry and file.
-	// The twins sort last by ID, so no candidate count splits their tie
-	// under the shapeless probe set.
+	// The same DonorID under another precision: a distinct entry. The twins
+	// sort last by ID, so no candidate count splits their tie under the
+	// shapeless probe set.
 	twin := testKey("zz-twin", "fast")
 	put(twin, shapePoints(1, 1.15, 0), "")
 	twinPrec := twin
 	twinPrec.Prec = EncodePrecision(core.Precision{MinReps: 1, MaxReps: 1, Confidence: 0.95, RelErr: 0.05})
 	put(twinPrec, shapePoints(1, 1.25, 0), "")
-	if DonorID(twin) != DonorID(twinPrec) || s.Path(twin) == s.Path(twinPrec) {
-		t.Fatal("twins should share a DonorID and not a file")
+	if DonorID(twin) != DonorID(twinPrec) || twin == twinPrec {
+		t.Fatal("twins should share a DonorID and not a key")
 	}
+	torn := testKey("warm", "torn")
+	put(torn, shapePoints(1, 1.05, 0), "")
+	tearEntry(t, s, torn)
 	pool, err := s.DonorPool(self)
 	if err != nil {
 		t.Fatal(err)
@@ -226,31 +224,61 @@ func TestDonorIndexMatchesDonorPool(t *testing.T) {
 
 	// Another writer changes the directory between queries.
 	added := testKey("ext", "added")
-	writeExternal(t, s, added, shapePoints(5, 1.1, 0), "")
+	writeExternal(t, s, "ext-a.points", Entry{Key: added, Points: shapePoints(5, 1.1, 0)})
 	checkIndexMatchesRef(t, s, self, "add")
 
-	if err := os.Remove(s.Path(testKey("warm", "dev-1"))); err != nil {
+	appendExternal(t, filepath.Join(s.Dir(), "ext-a.points"), Entry{Key: testKey("ext", "appended"), Points: shapePoints(6, 1.2, 0)})
+	checkIndexMatchesRef(t, s, self, "append")
+
+	// A file ranking above the handle's own holds a second entry of dev-0:
+	// that one is live now.
+	writeExternal(t, s, "zz-ext.points", Entry{Key: testKey("warm", "dev-0"), Points: shapePoints(1, 1.3, 600)})
+	checkIndexMatchesRef(t, s, self, "supersede")
+
+	if err := os.Remove(filepath.Join(s.Dir(), "zz-ext.points")); err != nil {
 		t.Fatal(err)
 	}
 	checkIndexMatchesRef(t, s, self, "delete")
 
-	writeExternal(t, s, testKey("warm", "dev-0"), shapePoints(1, 1.3, 600), "")
+	writeExternal(t, s, "ext-a.points", Entry{Key: added, Points: shapePoints(5, 0.95, 0)}, Entry{Key: testKey("ext", "second"), Points: shapePoints(2, 1.0, 0)})
 	checkIndexMatchesRef(t, s, self, "replace")
 
-	dev2 := s.Path(testKey("warm", "dev-2"))
-	fi, err := os.Stat(dev2)
+	extA := filepath.Join(s.Dir(), "ext-a.points")
+	fi, err := os.Stat(extA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(dev2, fi.Size()/2); err != nil {
+	if err := os.Truncate(extA, fi.Size()-40); err != nil {
 		t.Fatal(err)
 	}
 	checkIndexMatchesRef(t, s, self, "truncate in place")
 
-	writeExternal(t, s, testKey("warm", "dev-3"), shapePoints(4, 1.1, 300), "donor=y scale=4")
+	// Rewritten in place, longer, under the same inode — as a file
+	// replaced by rename can come back under a recycled inode number: the
+	// index must not take the new bytes for an append to the old ones.
+	var longer []byte
+	for i, sc := range []float64{7, 8} {
+		b, err := encode(testKey("ext", fmt.Sprintf("longer-%d", i)), "k", shapePoints(sc, 1.15, 0), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		longer = append(longer, b...)
+	}
+	if err := os.WriteFile(extA, longer, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexMatchesRef(t, s, self, "rewritten longer in place")
+
+	writeExternal(t, s, "zz-ext.points", Entry{Key: testKey("warm", "dev-3"), Points: shapePoints(4, 1.1, 300), Transfer: "donor=y scale=4"})
 	checkIndexMatchesRef(t, s, self, "now transferred")
 
-	writeExternal(t, s, torn, shapePoints(1, 1.05, 0), "")
+	damageEntry(t, s, testKey("warm", "dev-2"))
+	checkIndexMatchesRef(t, s, self, "damage mid-file")
+	if _, ok, err := s.Get(testKey("warm", "dev-2")); ok || err == nil {
+		t.Fatalf("a damaged entry with no intact twin: ok=%v err=%v, want its damage reported", ok, err)
+	}
+
+	put(torn, shapePoints(1, 1.05, 0), "")
 	checkIndexMatchesRef(t, s, self, "heal")
 
 	if err := os.Mkdir(filepath.Join(s.Dir(), "directory.points"), 0o755); err != nil {
@@ -262,19 +290,19 @@ func TestDonorIndexMatchesDonorPool(t *testing.T) {
 	checkIndexMatchesRef(t, s, added, "other exclusion")
 }
 
-// TestDonorsSkipsStaleTopDonors: files that stop being donors after the
+// TestDonorsSkipsStaleTopDonors: entries that stop being donors after the
 // snapshot was taken are skipped when their points are read, and the
-// next-ranked donors take their places.
+// next-ranked donors take their places. The donors sit in one-entry files,
+// so each can be truncated or replaced on its own.
 func TestDonorsSkipsStaleTopDonors(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	self := testKey("cold", "new-device")
+	file := func(i int) string { return fmt.Sprintf("dev-%d.points", i) }
 	for i, p := range []float64{1.1, 1.0, 1.2, 0.9, 1.3, 1.05} {
-		if err := s.Put(testKey("warm", fmt.Sprintf("dev-%d", i)), "k", shapePoints(float64(i+1), p, 0)); err != nil {
-			t.Fatal(err)
-		}
+		writeExternal(t, s, file(i), Entry{Key: testKey("warm", fmt.Sprintf("dev-%d", i)), Points: shapePoints(float64(i+1), p, 0)})
 	}
 	donors, err := s.Donors(self)
 	if err != nil {
@@ -285,20 +313,20 @@ func TestDonorsSkipsStaleTopDonors(t *testing.T) {
 	if len(before) != 2 {
 		t.Fatalf("want 2 candidates, got %d", len(before))
 	}
-	keyOf := func(id string) Key {
+	indexOf := func(id string) int {
 		for i := 0; i < 6; i++ {
-			if k := testKey("warm", fmt.Sprintf("dev-%d", i)); DonorID(k) == id {
-				return k
+			if DonorID(testKey("warm", fmt.Sprintf("dev-%d", i))) == id {
+				return i
 			}
 		}
 		t.Fatalf("no key for %s", id)
-		return Key{}
+		return 0
 	}
-	first, second := keyOf(before[0].Donor.ID), keyOf(before[1].Donor.ID)
-	if err := os.Truncate(s.Path(first), 10); err != nil {
+	first, second := indexOf(before[0].Donor.ID), indexOf(before[1].Donor.ID)
+	if err := os.Truncate(filepath.Join(s.Dir(), file(first)), 10); err != nil {
 		t.Fatal(err)
 	}
-	writeExternal(t, s, second, before[1].Donor.Points, "donor=z scale=1")
+	writeExternal(t, s, file(second), Entry{Key: testKey("warm", fmt.Sprintf("dev-%d", second)), Points: before[1].Donor.Points, Transfer: "donor=z scale=1"})
 
 	pool, err := s.DonorPool(self)
 	if err != nil {
@@ -312,9 +340,9 @@ func TestDonorsSkipsStaleTopDonors(t *testing.T) {
 }
 
 // TestDonorIndexConcurrentWriters runs donor queries and census reads
-// beside Puts through the handle and writes by another writer; run it with
-// -race -count=10. Once the writers stop, the index must agree with a full
-// re-read.
+// beside Puts through the handle, whole-file writes by another writer and
+// appends by a second appending writer; run it with -race -count=10. Once
+// the writers stop, the index must agree with a full re-read.
 func TestDonorIndexConcurrentWriters(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -328,7 +356,7 @@ func TestDonorIndexConcurrentWriters(t *testing.T) {
 	}
 	const rounds = 20
 	var wg sync.WaitGroup
-	wg.Add(4)
+	wg.Add(5)
 	go func() { // Puts through this handle
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
@@ -338,7 +366,7 @@ func TestDonorIndexConcurrentWriters(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // another process: add, rewrite, remove
+	go func() { // another writer: add, rewrite, remove whole files
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			k := testKey("ext", fmt.Sprintf("dev-%d", i%5))
@@ -352,12 +380,22 @@ func TestDonorIndexConcurrentWriters(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := os.Rename(tmp, s.Path(k)); err != nil {
+			if err := os.Rename(tmp, filepath.Join(s.Dir(), fmt.Sprintf("ext-%d.points", i%5))); err != nil {
 				t.Error(err)
 				return
 			}
 			if i%3 == 2 {
-				os.Remove(s.Path(testKey("ext", fmt.Sprintf("dev-%d", (i+1)%5))))
+				os.Remove(filepath.Join(s.Dir(), fmt.Sprintf("ext-%d.points", (i+1)%5)))
+			}
+		}
+	}()
+	go func() { // a second appending writer, one locked append at a time
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := lockedAppend(filepath.Join(s.Dir(), "zz-appender.points"),
+				Entry{Key: testKey("app", fmt.Sprintf("dev-%d", i%7)), Points: shapePoints(3, 1+0.03*float64(i), 0)}); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()
@@ -378,8 +416,13 @@ func TestDonorIndexConcurrentWriters(t *testing.T) {
 	go func() { // census reads
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, err := s.Stats(); err != nil {
+			st, err := s.Stats()
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if st.CorruptFiles != 0 && haveLocks {
+				t.Errorf("census counted %d corrupt entries while writers appended", st.CorruptFiles)
 				return
 			}
 		}

@@ -1,35 +1,40 @@
 // Package modelstore is the durable half of the partition service's model
 // cache: every fitted model's underlying benchmark sweep is spilled to disk
-// as a points file, one file per key, and reloaded on start — so a restarted
-// server (or a fupermod-bench / fupermod-verify run pointed at the same
-// directory) reuses the expensive measurements instead of re-sweeping.
-// Persisting the measurement database is what amortises the cost of
-// functional performance models across runs (Lastovetsky et al.'s
-// self-adaptable algorithms reuse refined models across invocations;
-// Stevens–Klöckner's black-box GPU models pay off through exactly such a
-// persisted model database).
+// as a points-file entry and reloaded on start — so a restarted server (or
+// a fupermod-bench / fupermod-verify run pointed at the same directory)
+// reuses the expensive measurements instead of re-sweeping. Persisting the
+// measurement database is what amortises the cost of functional
+// performance models across runs (Lastovetsky et al.'s self-adaptable
+// algorithms reuse refined models across invocations; Stevens–Klöckner's
+// black-box GPU models pay off through exactly such a persisted model
+// database).
 //
-// Each entry is a regular points file (model.WritePoints format), readable
-// by every tool in the chain, with two extra comment headers the format
-// ignores: a "# store:" line carrying the full cache key and a trailing
-// "# end:" line carrying the point count. The trailer is the torn-write
-// detector: a file truncated by a crash mid-write fails the count check and
+// Each entry is a regular points file (model.WritePoints format) with two
+// extra comment headers the format ignores: a "# store:" line carrying the
+// full cache key and a trailing "# end:" line carrying the point count.
+// Entries sit back to back in *.points files, each process appending its
+// spills to one file of its own (append.go); a one-entry file — the
+// layout before append files — is still a points file any tool in the
+// chain reads. The trailer is the torn-write detector: an entry cut short
+// by a crash mid-append fails the count check, or lacks its trailer, and
 // is reported as corrupt — the caller re-sweeps instead of serving a
-// partial model. Writes go through a temp file and an atomic rename, so a
-// crash never leaves a half-written file under the entry's real name.
+// partial model.
 package modelstore
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"fupermod/internal/core"
 	"fupermod/internal/model"
@@ -102,6 +107,11 @@ func (k Key) Validate() error {
 	if k.Device == "" {
 		return fmt.Errorf("modelstore: key needs a device")
 	}
+	if math.IsNaN(k.Noise) || math.IsInf(k.Noise, 0) {
+		// NaN != NaN: such a key could never be found again, so every fill
+		// of it would append another entry.
+		return fmt.Errorf("modelstore: noise %g must be finite", k.Noise)
+	}
 	if k.Lo <= 0 || k.Hi < k.Lo || k.N <= 0 {
 		return fmt.Errorf("modelstore: invalid size grid lo=%d hi=%d n=%d", k.Lo, k.Hi, k.N)
 	}
@@ -116,15 +126,25 @@ func (k Key) Validate() error {
 
 // id is the canonical key string: every field, url-escaped where free-form,
 // '|'-separated. Equal keys have equal ids and vice versa.
-func (k Key) id() string {
-	return strings.Join([]string{
-		url.QueryEscape(k.Tenant),
-		url.QueryEscape(k.Device),
-		strconv.FormatInt(k.Seed, 10),
-		fmtG(k.Noise),
-		strconv.Itoa(k.Lo), strconv.Itoa(k.Hi), strconv.Itoa(k.N),
-		url.QueryEscape(k.Prec),
-	}, "|")
+func (k Key) id() string { return string(k.appendID(nil)) }
+
+// appendID appends the key's id to b.
+func (k Key) appendID(b []byte) []byte {
+	b = append(b, url.QueryEscape(k.Tenant)...)
+	b = append(b, '|')
+	b = append(b, url.QueryEscape(k.Device)...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, k.Noise, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k.Lo), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k.Hi), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	b = append(b, '|')
+	return append(b, url.QueryEscape(k.Prec)...)
 }
 
 func parseKeyID(s string) (Key, error) {
@@ -164,14 +184,6 @@ func parseKeyID(s string) (Key, error) {
 	return k, nil
 }
 
-// filename derives the entry's file name from the key id. The content hash
-// keeps arbitrary tenant/device strings out of the filesystem namespace;
-// the id embedded in the file is authoritative, the name only an address.
-func (k Key) filename() string {
-	sum := sha256.Sum256([]byte(k.id()))
-	return hex.EncodeToString(sum[:12]) + ".points"
-}
-
 // Entry is one loaded store record.
 type Entry struct {
 	Key    Key
@@ -186,33 +198,49 @@ type Entry struct {
 	Transfer string
 }
 
-// Corrupt describes one unreadable store file: a torn write, a truncation,
-// or hand-edited damage. Corrupt entries are never returned as data — the
-// caller's recovery is to re-sweep.
+// Corrupt describes one unreadable store entry: a torn write, a truncation,
+// or hand-edited damage; Path is the file that holds it. Corrupt entries
+// are never returned as data — the caller's recovery is to re-sweep.
 type Corrupt struct {
 	Path string
 	Err  error
 }
 
-// Store is a directory of spilled sweeps. It is safe for concurrent use;
-// writes to the same key serialise on an internal lock, and the atomic
-// rename makes concurrent readers see either the old or the new complete
-// file, never a mixture.
+// Store is a directory of spilled sweeps. It is safe for concurrent use:
+// the handle's appends serialise on an internal lock, and no reader — in
+// this process or another — ever serves part of an entry (append.go).
 type Store struct {
 	dir string
-	mu  sync.Mutex
 
-	// flightMu guards flights, the in-progress Fill calls keyed by Key.id()
-	// (see fill.go). Because Open returns one shared handle per directory,
-	// this table is the cross-replica single-flight.
+	// mu serialises this handle's appends. own names its append file ("" until
+	// the first Put) and ownPath is its path, ownSig carries its identity,
+	// and ownEnd is the offset just past its last complete entry (-1 when
+	// unknown).
+	mu      sync.Mutex
+	own     string
+	ownPath string
+	ownSig  fileSig
+	ownEnd  int64
+
+	// flightMu guards flights, the in-progress Fill calls by key (see
+	// fill.go). Because Open returns one shared handle per directory, this
+	// table is the cross-replica single-flight.
 	flightMu sync.Mutex
-	flights  map[string]*flight
+	flights  map[Key]*flight
 
-	// idxMu guards the index (index.go): idx maps each *.points file name
-	// to its slot, and gen counts refreshes.
-	idxMu sync.Mutex
-	idx   map[string]slot
-	gen   uint64
+	// idxMu guards the index (index.go): files maps each *.points file name
+	// to what the index read of it, watched holds the files every lookup
+	// reads again (all but the sealed ones), keys maps each key to its
+	// entries, and gen counts refreshes; names is the last directory
+	// listing, taken at listedAt under the directory signature dirSig.
+	idxMu    sync.Mutex
+	files    map[string]*fileRec
+	watched  map[*fileRec]struct{}
+	keys     map[Key]*keyState
+	gen      uint64
+	names    []string
+	dirSig   fileSig
+	listedAt time.Time
 }
 
 // Open creates (if necessary) and opens the store directory. Every Open of
@@ -231,28 +259,68 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Path returns the file a key is (or would be) stored at.
-func (s *Store) Path(k Key) string { return filepath.Join(s.dir, k.filename()) }
+// Path returns the file that holds a key's live entry — or, for a key the
+// store does not hold, the file this handle's next Put appends to.
+func (s *Store) Path(k Key) string {
+	if live, bad, err := s.lookup(k); err == nil && (live != nil || bad != nil) {
+		if live == nil {
+			live = bad
+		}
+		return filepath.Join(s.dir, live.name)
+	}
+	s.mu.Lock()
+	own := s.own
+	s.mu.Unlock()
+	if own == "" {
+		names, _ := entryFiles(s.dir)
+		own = spillName(nextSpill(names))
+	}
+	return filepath.Join(s.dir, own)
+}
 
-// encode renders one complete entry file: the store header, the transfer
+// encode renders one complete entry: the store header, the transfer
 // provenance (when present), the standard points file, and the count
 // trailer.
 func encode(k Key, kernel string, pts []core.Point, transfer string) ([]byte, error) {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# store: %s\n", k.id())
-	if transfer != "" {
-		fmt.Fprintf(&buf, "# transfer: %s\n", transfer)
-	}
-	if err := model.WritePoints(&buf, model.PointFile{Kernel: kernel, Device: k.Device, Points: pts}); err != nil {
+	if err := encodeTo(&buf, k, kernel, pts, transfer); err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(&buf, "# end: %d\n", len(pts))
 	return buf.Bytes(), nil
 }
 
-// Put spills one sweep. The write is atomic: a temp file in the store
-// directory is renamed over the entry, so a crash at any instant leaves
-// either the previous complete entry or the new one.
+func encodeTo(buf *bytes.Buffer, k Key, kernel string, pts []core.Point, transfer string) error {
+	buf.WriteString("# store: ")
+	buf.Write(k.appendID(buf.AvailableBuffer()))
+	buf.WriteByte('\n')
+	if transfer != "" {
+		buf.WriteString("# transfer: ")
+		buf.WriteString(transfer)
+		buf.WriteByte('\n')
+	}
+	if err := model.WritePoints(buf, model.PointFile{Kernel: kernel, Device: k.Device, Points: pts}); err != nil {
+		return err
+	}
+	buf.WriteString("# end: ")
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(len(pts)), 10))
+	buf.WriteByte('\n')
+	return nil
+}
+
+// encodeBuffers pools the encoding scratch of Put and encodesTo.
+var encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// encodesTo reports whether seg is exactly the bytes encode writes for e.
+func encodesTo(e Entry, seg []byte) bool {
+	buf := encodeBuffers.Get().(*bytes.Buffer)
+	defer encodeBuffers.Put(buf)
+	buf.Reset()
+	return encodeTo(buf, e.Key, e.Kernel, e.Points, e.Transfer) == nil && bytes.Equal(buf.Bytes(), seg)
+}
+
+// Put spills one sweep: one append to this handle's file, under the file's
+// lock, so a crash at any instant leaves every earlier entry intact and at
+// most a torn tail, which readers report corrupt and the next append cuts.
 func (s *Store) Put(k Key, kernel string, pts []core.Point) error {
 	return s.PutTransfer(k, kernel, pts, "")
 }
@@ -279,30 +347,60 @@ func (s *Store) PutTransfer(k Key, kernel string, pts []core.Point, transfer str
 		// not round-trip byte-identically.
 		return fmt.Errorf("modelstore: transfer provenance must not have leading/trailing spaces")
 	}
-	data, err := encode(k, kernel, pts, transfer)
+	if strings.ContainsRune(k.Device, '\n') || strings.ContainsRune(kernel, '\n') || strings.TrimSpace(kernel) != kernel {
+		// Both sit on header lines, and the kernel is read back trimmed: a
+		// value that would not read back as written is refused here, not
+		// stored as an entry no reader would serve.
+		return fmt.Errorf("modelstore: kernel %q and device %q must each be one line, the kernel without edge spaces", kernel, k.Device)
+	}
+	buf := encodeBuffers.Get().(*bytes.Buffer)
+	defer encodeBuffers.Put(buf)
+	buf.Reset()
+	if err := encodeTo(buf, k, kernel, pts, transfer); err != nil {
+		return err
+	}
+	data := buf.Bytes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh, torn := s.putPlan(k)
+	for _, r := range torn {
+		// The key's entry is a torn tail in another handle's file: cut it
+		// before the replacement lands, so that file reads as if the
+		// append had never started. A failed cut leaves a counted corrupt
+		// tail; the replacement is appended regardless.
+		_ = cutTail(filepath.Join(s.dir, r.name), r.off)
+	}
+	name, off, sig, exact, err := s.appendEntry(data, fresh)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, ".spill-*")
-	if err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(k)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelstore: %w", err)
+	if exact {
+		s.indexPut(name, off, data, sig, Entry{Key: k, Kernel: kernel, Points: pts, Transfer: transfer})
 	}
 	return nil
+}
+
+// putPlan reads the index (as of the last query) for a Put of k: fresh is
+// set when k is live in a file this handle's own file does not outrank —
+// the Put then starts a new append file, so that the new entry is the one
+// every later read returns — and torn lists k's torn tails in other files.
+// Caller holds s.mu.
+func (s *Store) putPlan(k Key) (fresh bool, torn []*record) {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	ks := s.keys[k]
+	if ks == nil {
+		return false, nil
+	}
+	if r := ks.live; r != nil && s.own != "" && r.name > s.own && canOutrank(r.name) {
+		fresh = true
+	}
+	for _, r := range ks.recs {
+		if r.tail && r.name != s.own && haveLocks {
+			torn = append(torn, r)
+		}
+	}
+	return fresh, torn
 }
 
 // Decode parses and integrity-checks one entry file. It is the streaming
@@ -392,7 +490,9 @@ func decodeStrict(data []byte) (Entry, bool) {
 	s := string(data)
 	var kernel, keyLine, transfer string
 	endCount := -1
-	var pts []core.Point
+	// Every point is a line: sized by the line count, the slice is filled
+	// without regrowth and keeps a few headers' worth of slack, not half.
+	pts := make([]core.Point, 0, strings.Count(s, "\n"))
 	pos := 0
 	for pos < len(s) {
 		nl := strings.IndexByte(s[pos:], '\n')
@@ -614,96 +714,192 @@ func DecodeRef(path string, data []byte) (Entry, error) {
 	return Entry{Key: key, Kernel: pf.Kernel, Points: pf.Points, Transfer: transfer}, nil
 }
 
-// Get loads the entry for one key. ok is false when no entry exists. A
-// present-but-corrupt entry returns an error — the caller should treat it
-// as a miss and re-sweep (a subsequent Put heals the file).
+// Get loads the live entry for one key (index.go). ok is false when the
+// store holds no entry for the key. A key whose only entries are corrupt
+// returns an error — the caller should treat it as a miss and re-sweep (a
+// subsequent Put heals it).
 func (s *Store) Get(k Key) (Entry, bool, error) {
-	path := s.Path(k)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
+	live, bad, err := s.lookup(k)
+	switch {
+	case err != nil:
+		return Entry{}, false, err
+	case live == nil && bad != nil:
+		return Entry{}, false, bad.err
+	case live == nil:
 		return Entry{}, false, nil
 	}
-	if err != nil {
-		return Entry{}, false, fmt.Errorf("modelstore: %w", err)
-	}
-	e, err := Decode(path, data)
+	e, err := s.readEntry(live)
 	if err != nil {
 		return Entry{}, false, err
 	}
 	if e.Key != k {
-		// Hash-addressed file carrying a different key: treat as absent
-		// rather than serving another key's measurements.
-		return Entry{}, false, fmt.Errorf("modelstore: %s: key mismatch (stale or colliding entry)", path)
+		// The bytes changed under the index: serve nothing rather than
+		// another key's measurements.
+		return Entry{}, false, fmt.Errorf("modelstore: %s: key mismatch (entry changed on disk)",
+			entryLabel(filepath.Join(s.dir, live.name), live.off))
 	}
 	return e, true, nil
 }
 
-// loadBuffers pools the file-read scratch of Load, so a reload over a
-// populated store reuses one buffer across all entries instead of
-// allocating a fresh byte slice per file. Decode copies everything it
+// entryBuffers pools the read scratch of Get, Load and Rank, so a reload
+// over a populated store reuses one buffer across all entries instead of
+// allocating a fresh byte slice per entry. Decode copies everything it
 // keeps (the scanner materialises new strings and points), so reusing the
-// backing buffer between files is safe.
-var loadBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// backing buffer between entries is safe.
+var entryBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// Load reads every entry in the store. Corrupt files are collected, not
-// fatal: a store damaged by a crash loads everything intact and reports
-// what it had to drop, so the server re-sweeps only the torn entries.
+// Load reads the live entry of every key in the store, in store order.
+// Corrupt entries are collected, not fatal: a store damaged by a crash
+// loads everything intact and reports what it had to drop, so the server
+// re-sweeps only the torn entries. On a cold index each entry is decoded
+// once, by the refresh that indexes it; on a warm one only the live
+// entries are read.
 func (s *Store) Load() ([]Entry, []Corrupt, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.points"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("modelstore: %w", err)
+	var decoded map[*record]Entry
+	keep := func(r *record, e Entry) {
+		if decoded == nil {
+			decoded = make(map[*record]Entry)
+		}
+		decoded[r] = e
 	}
-	buf := loadBuffers.Get().(*bytes.Buffer)
-	defer loadBuffers.Put(buf)
+	s.idxMu.Lock()
+	if err := s.refreshLocked(keep); err != nil {
+		s.idxMu.Unlock()
+		return nil, nil, err
+	}
+	live := make([]*record, 0, len(s.keys))
+	for _, ks := range s.keys {
+		if ks.live != nil {
+			live = append(live, ks.live)
+		}
+	}
+	var bad []*record
+	for _, fr := range s.files {
+		for _, r := range fr.recs {
+			if r.corrupt {
+				bad = append(bad, r)
+			}
+		}
+		if fr.rest != nil {
+			bad = append(bad, fr.rest)
+		}
+	}
+	s.idxMu.Unlock()
+	slices.SortFunc(live, cmpRecord)
+	slices.SortFunc(bad, cmpRecord)
+
 	var entries []Entry
 	var corrupt []Corrupt
-	for _, path := range names {
-		buf.Reset()
-		f, err := os.Open(path)
-		if err != nil {
-			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
+	var f *os.File
+	var path string
+	for _, r := range live {
+		if e, ok := decoded[r]; ok {
+			entries = append(entries, e)
 			continue
 		}
-		_, err = buf.ReadFrom(f)
-		f.Close()
-		if err != nil {
-			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
-			continue
+		if f == nil || path != filepath.Join(s.dir, r.name) {
+			if f != nil {
+				f.Close()
+			}
+			path = filepath.Join(s.dir, r.name)
+			var err error
+			if f, err = os.Open(path); err != nil {
+				f = nil
+				if !errors.Is(err, fs.ErrNotExist) { // else removed since the refresh
+					corrupt = append(corrupt, Corrupt{Path: path, Err: err})
+				}
+				continue
+			}
 		}
-		e, err := Decode(path, buf.Bytes())
+		e, err := readRecord(f, path, r)
+		if err == nil && e.Key != r.key {
+			err = fmt.Errorf("modelstore: %s: key mismatch (entry changed on disk)", entryLabel(path, r.off))
+		}
 		if err != nil {
 			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
 			continue
 		}
 		entries = append(entries, e)
+	}
+	if f != nil {
+		f.Close()
+	}
+	for _, r := range bad {
+		corrupt = append(corrupt, Corrupt{Path: filepath.Join(s.dir, r.name), Err: r.err})
 	}
 	return entries, corrupt, nil
 }
 
-// LoadRef is the reference implementation of Load: a fresh os.ReadFile
-// per entry and the two-pass DecodeRef, no shared buffer. Kept
-// (pool.MapSeq-style) as the specification the pooled streaming reload is
-// equivalence-tested against — TestLoadMatchesRef pins entry-for-entry
-// identity on a populated store.
+// LoadRef is the reference implementation of Load: no index — a fresh
+// os.ReadFile per file, every entry split off by a line scan and decoded
+// by the two-pass DecodeRef, an unfinished tail read as torn whatever its
+// lock says, and the live entry of each key picked as its last intact one
+// in store order. Kept (pool.MapSeq-style) as the specification the
+// indexed reload is equivalence-tested against — TestLoadMatchesRef pins
+// entry-for-entry identity on a populated store, in a quiescent directory.
 func (s *Store) LoadRef() ([]Entry, []Corrupt, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.points"))
+	names, err := entryFiles(s.dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("modelstore: %w", err)
+		return nil, nil, err
+	}
+	var intact []Entry
+	var corrupt []Corrupt
+	for _, name := range names {
+		path := filepath.Join(s.dir, name)
+		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // removed since the listing
+		}
+		if len(data) == 0 {
+			_, err = DecodeRef(path, data) // an empty file is a torn write
+		}
+		if err != nil {
+			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
+			continue
+		}
+		for off := 0; off < len(data); {
+			seg := refNextEntry(data[off:])
+			label := entryLabel(path, int64(off))
+			e, err := DecodeRef(label, seg)
+			if err == nil {
+				if enc, _ := encode(e.Key, e.Kernel, e.Points, e.Transfer); !bytes.Equal(enc, seg) {
+					err = errNotEncoded(label)
+				}
+			}
+			if err != nil {
+				corrupt = append(corrupt, Corrupt{Path: path, Err: err})
+			} else {
+				intact = append(intact, e)
+			}
+			off += len(seg)
+		}
+	}
+	last := make(map[Key]int, len(intact))
+	for i, e := range intact {
+		last[e.Key] = i
 	}
 	var entries []Entry
-	var corrupt []Corrupt
-	for _, path := range names {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
-			continue
+	for i, e := range intact {
+		if last[e.Key] == i {
+			entries = append(entries, e)
 		}
-		e, err := DecodeRef(path, data)
-		if err != nil {
-			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
-			continue
-		}
-		entries = append(entries, e)
 	}
 	return entries, corrupt, nil
+}
+
+// refNextEntry splits the next entry off data line by line: through the
+// first line opening with "# end:", or all of data when no such line ends.
+func refNextEntry(data []byte) []byte {
+	for i := 0; i < len(data); {
+		nl := bytes.IndexByte(data[i:], '\n')
+		if nl < 0 {
+			break
+		}
+		line := data[i : i+nl]
+		i += nl + 1
+		if bytes.HasPrefix(line, []byte("# end:")) {
+			return data[:i]
+		}
+	}
+	return data
 }

@@ -74,6 +74,8 @@ func TestGetAbsent(t *testing.T) {
 	}
 }
 
+// TestDistinctKeysDistinctFiles: seed and precision are part of the key, so
+// three keys differing only there are three entries.
 func TestDistinctKeysDistinctFiles(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -148,7 +150,8 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestPutHealsCorrupt: a re-Put over a corrupt file replaces it atomically.
+// TestPutHealsCorrupt: a re-Put over a torn entry cuts the torn tail and
+// appends the replacement.
 func TestPutHealsCorrupt(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -273,6 +276,29 @@ func TestPrecisionRoundTrip(t *testing.T) {
 		}
 		if got != p {
 			t.Errorf("precision round trip: %+v != %+v", got, p)
+		}
+	}
+}
+
+// TestEntryBytes pins an entry's encoding byte for byte, transfer header
+// and all: files written by earlier versions of the store must keep
+// reading as intact entries, and only these exact bytes are served.
+func TestEntryBytes(t *testing.T) {
+	k := testKey("tenant with spaces|and|pipes", "machine:abc/0")
+	pts := []core.Point{{D: 16, Time: 1.0 / 3.0, Reps: 3, CI: 1e-9 / 7.0}, {D: 5000, Time: 123.456789012345678, Reps: 5, CI: 0.1}}
+	const head = "# store: tenant+with+spaces%7Cand%7Cpipes|machine%3Aabc%2F0|7|0.02|16|5000|20|3%3A8%3A0.95%3A0.05%3A0%3A0\n"
+	const body = "# fupermod points v1\n# kernel: gemm-b128\n# device: machine:abc/0\n# columns: d time reps ci\n" +
+		"16 0.3333333333333333 3 1.4285714285714285e-10\n5000 123.45678901234568 5 0.1\n# end: 2\n"
+	for prov, want := range map[string]string{
+		"": head + body,
+		"donor=x/y/seed=1 scale=2.5 probes=6/40 maxdiff=0.01": head + "# transfer: donor=x/y/seed=1 scale=2.5 probes=6/40 maxdiff=0.01\n" + body,
+	} {
+		got, err := encode(k, "gemm-b128", pts, prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("provenance %q: encoded\n%q\nwant\n%q", prov, got, want)
 		}
 	}
 }

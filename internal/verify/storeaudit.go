@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"fupermod/internal/core"
 	"fupermod/internal/kernels"
@@ -39,7 +40,7 @@ type StoreAudit struct {
 	// not byte-reproducible by a full sweep — the diff-transfer suite
 	// section bounds its accuracy instead.
 	Transferred int
-	// Corrupt lists unreadable files: torn writes, truncations, damage.
+	// Corrupt lists unreadable entries: torn writes, truncations, damage.
 	Corrupt []modelstore.Corrupt
 	// Violations lists entries whose replayed sweep disagreed with the
 	// stored points — a stale or miswritten entry, never acceptable for a
@@ -63,12 +64,12 @@ func (a *StoreAudit) Table() *trace.Table {
 	if a.OK() {
 		t.Note = fmt.Sprintf("store intact: %d of %d entries replayed identically", a.Verified, a.Entries)
 	} else {
-		t.Note = fmt.Sprintf("%d corrupt files, %d divergent entries", len(a.Corrupt), len(a.Violations))
+		t.Note = fmt.Sprintf("%d corrupt entries, %d divergent entries", len(a.Corrupt), len(a.Violations))
 	}
 	return t
 }
 
-// WriteTo renders the summary table followed by every corrupt file and
+// WriteTo renders the summary table followed by every corrupt entry and
 // violation detail.
 func (a *StoreAudit) WriteTo(w io.Writer) (int64, error) {
 	n, err := a.Table().WriteTo(w)
@@ -92,14 +93,22 @@ func (a *StoreAudit) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// AuditStore verifies an on-disk model store. Every file is integrity-
+// AuditStore verifies an on-disk model store. Every entry is integrity-
 // checked by the load (torn writes land in Corrupt); every entry whose
 // device is a preset is then replayed — virtual sweeps are deterministic
 // in (device, seed, noise, grid, precision), so the stored points must be
 // reproduced exactly. Entries addressing machine-file devices are counted
 // as skipped: their devices exist only in a serving process that holds the
-// tenant's upload.
+// tenant's upload. The directory must exist: an audit reads a store, it
+// never creates one.
 func AuditStore(dir string) (*StoreAudit, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, fmt.Errorf("verify: store directory: %w", err)
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("verify: store directory %s is not a directory", dir)
+	}
 	store, err := modelstore.Open(dir)
 	if err != nil {
 		return nil, err

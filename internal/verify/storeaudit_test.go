@@ -106,16 +106,6 @@ func TestAuditStoreReportsCorruptAndSkipsMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := putSweep(t, store, "fast", 1)
-	torn := putSweep(t, store, "slow", 2)
-
-	// Tear the second entry's file.
-	data, err := os.ReadFile(store.Path(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(store.Path(torn), data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	// A machine-device entry cannot be replayed without the upload: skipped.
 	machineKey := good
@@ -128,17 +118,35 @@ func TestAuditStoreReportsCorruptAndSkipsMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Tear the last entry the store appended, as a crash mid-append would.
+	path := store.Path(good)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := putSweep(t, store, "slow", 2)
+	if store.Path(torn) != path {
+		t.Fatalf("one handle's entries should share one file: %s, %s", path, store.Path(torn))
+	}
+	full, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, (fi.Size()+full.Size())/2); err != nil {
+		t.Fatal(err)
+	}
+
 	audit, err := AuditStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if audit.OK() {
-		t.Error("audit passed over a torn file")
+		t.Error("audit passed over a torn entry")
 	}
 	if len(audit.Corrupt) != 1 || audit.Entries != 2 || audit.Verified != 1 || audit.Skipped != 1 {
 		t.Errorf("audit = %+v", audit)
 	}
-	// Stray non-store files in the glob's way are reported, not fatal.
+	// Stray non-store files in the directory are reported, not fatal.
 	if err := os.WriteFile(filepath.Join(dir, "notes.points"), []byte("scratch\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +155,44 @@ func TestAuditStoreReportsCorruptAndSkipsMachines(t *testing.T) {
 	}
 	if len(audit.Corrupt) != 2 {
 		t.Errorf("stray file not reported corrupt: %+v", audit.Corrupt)
+	}
+}
+
+// TestAuditStoreReadsDirLiterally: a store directory whose path holds glob
+// metacharacters is audited like any other, not matched as a pattern.
+func TestAuditStoreReadsDirLiterally(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store[1]")
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putSweep(t, store, "fast", 1)
+	audit, err := AuditStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !audit.OK() || audit.Entries != 1 || audit.Verified != 1 {
+		t.Errorf("audit of %s = %+v, want its one entry verified", dir, audit)
+	}
+}
+
+// TestAuditStoreCreatesNothing: auditing a missing directory, or a path
+// that is not a directory, is an error, and leaves the filesystem as it
+// was.
+func TestAuditStoreCreatesNothing(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "store")
+	if audit, err := AuditStore(missing); err == nil {
+		t.Fatalf("audit of a missing directory = %+v, want an error", audit)
+	}
+	if _, err := os.Stat(filepath.Dir(filepath.Dir(missing))); !os.IsNotExist(err) {
+		t.Fatalf("the audit created directories toward %s (stat err %v)", missing, err)
+	}
+	file := filepath.Join(t.TempDir(), "store.points")
+	if err := os.WriteFile(file, []byte("x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if audit, err := AuditStore(file); err == nil {
+		t.Fatalf("audit of a regular file = %+v, want an error", audit)
 	}
 }
 
