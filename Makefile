@@ -26,8 +26,12 @@ build:
 test:
 	$(GO) test ./...
 
+## vet: go vet, then gofmt over every tracked Go file (e2ebench/ included):
+## a file gofmt would reformat fails the target
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:" $$unformatted; exit 1; fi
 
 ## race: the whole suite under the race detector, then the Student-t
 ## quantile memo ten times over (-count=10: every sweep's stopping rule

@@ -97,19 +97,6 @@ func WritePointsRef(w io.Writer, pf PointFile) error {
 // lines are ignored, so files remain forward compatible with extra
 // metadata.
 func ReadPoints(r io.Reader) (PointFile, error) {
-	return ReadPointsMeta(r, nil)
-}
-
-// ReadPointsMeta parses a point file like ReadPoints and additionally
-// reports every "key: value" comment line the format itself does not
-// consume to the meta callback (nil disables the callbacks). It exists so
-// layered formats — the model store wraps point files in "# store:" and
-// "# end:" comments — can capture their metadata in the same single pass
-// that parses the points, instead of re-reading the file. The key is
-// passed exactly as written (not trimmed), so a caller matching "end" sees
-// "# end : 4" as the distinct key "end " — the same strictness as a
-// prefix match on "end:".
-func ReadPointsMeta(r io.Reader, meta func(key, value string)) (PointFile, error) {
 	var pf PointFile
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -126,12 +113,6 @@ func ReadPointsMeta(r io.Reader, meta func(key, value string)) (PointFile, error
 				pf.Kernel = strings.TrimSpace(strings.TrimPrefix(m, "kernel:"))
 			case strings.HasPrefix(m, "device:"):
 				pf.Device = strings.TrimSpace(strings.TrimPrefix(m, "device:"))
-			default:
-				if meta != nil {
-					if k, v, ok := strings.Cut(m, ":"); ok {
-						meta(k, strings.TrimSpace(v))
-					}
-				}
 			}
 			continue
 		}

@@ -1,7 +1,9 @@
 package modelstore
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -28,11 +30,36 @@ func populatedEntryBytes(t *testing.T) (string, []byte) {
 	return path, data
 }
 
-// TestDecodeMatchesRef pins the streaming Decode to the two-pass
-// DecodeRef: identical entries on intact files (deep-equal, including the
-// full-precision points), identical intact/corrupt classification on every
-// damaged variant, and identical messages for the standard corruptions
-// the store documents (truncation, torn trailer, count mismatch).
+// decodeContract checks Decode against DecodeRef on one input: (i) what
+// DecodeRef rejects, Decode rejects with the identical message; (ii) what
+// Decode accepts, DecodeRef accepts as a deep-equal entry; (iii) what
+// DecodeRef accepts and Decode rejects is not the bytes encode writes for
+// that entry, and Decode says so.
+func decodeContract(path string, data []byte) error {
+	got, gerr := Decode(path, data)
+	want, werr := DecodeRef(path, data)
+	switch {
+	case werr != nil:
+		if gerr == nil || gerr.Error() != werr.Error() {
+			return fmt.Errorf("(i) messages diverged:\n  Decode:    %v\n  DecodeRef: %v", gerr, werr)
+		}
+	case gerr == nil:
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("(ii) entries diverged:\n  Decode:    %+v\n  DecodeRef: %+v", got, want)
+		}
+	case encodesTo(want, data):
+		return fmt.Errorf("(iii) Decode refused the bytes encode writes for %+v: %v", want, gerr)
+	case gerr.Error() != errNotEncoded(path).Error():
+		return fmt.Errorf("(iii) Decode refused a layout encode does not write with %q, want %q", gerr, errNotEncoded(path))
+	}
+	return nil
+}
+
+// TestDecodeMatchesRef pins Decode to DecodeRef: identical entries on
+// intact files (deep-equal, including the full-precision points), the
+// decode contract on every damaged or re-laid-out variant, and identical
+// messages for the standard corruptions the store documents (truncation,
+// torn trailer, count mismatch).
 func TestDecodeMatchesRef(t *testing.T) {
 	path, data := populatedEntryBytes(t)
 
@@ -46,6 +73,14 @@ func TestDecodeMatchesRef(t *testing.T) {
 	}
 
 	lines := strings.SplitAfter(string(data), "\n")
+	newlineDevice, err := encode(testKey("default", "netlib-blas\n# x"), "gemm-b128", awkwardPoints(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	longLine, err := encode(testKey("default", "netlib-blas"), strings.Repeat("k", bufio.MaxScanTokenSize-len("# kernel: ")), awkwardPoints(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	corrupt := map[string][]byte{
 		"empty":                nil,
 		"truncated last byte":  data[:len(data)-1],
@@ -61,6 +96,21 @@ func TestDecodeMatchesRef(t *testing.T) {
 		"second bad end mid":   bytes.Replace(data, []byte("# columns"), []byte("# end: nope\n# columns"), 1),
 		"spaced end key":       bytes.Replace(data, []byte("# end: "), []byte("# end : "), 1),
 		"spaced store key":     bytes.Replace(data, []byte("# store: "), []byte("# store : "), 1),
+		// encode writes a device holding a newline over two lines, so no
+		// decoder reads a key with one.
+		"newline in device": newlineDevice,
+		// A line DecodeRef's scanner cannot read.
+		"64 KiB line": longLine,
+	}
+	// Layouts DecodeRef reads but encode never writes: Decode refuses them
+	// as not in the store's encoding (clause iii).
+	relaid := map[string][]byte{
+		"blank line":        bytes.Replace(data, []byte("# columns"), []byte("\n# columns"), 1),
+		"tab in record":     bytes.Replace(data, []byte("\n16 "), []byte("\n16\t"), 1),
+		"reordered headers": bytes.Replace(data, []byte("# kernel: gemm-b128\n# device: netlib-blas\n"), []byte("# device: netlib-blas\n# kernel: gemm-b128\n"), 1),
+		"CRLF trailer":      bytes.Replace(data, []byte("# end: 4\n"), []byte("# end: 4\r\n"), 1),
+		"padded kernel":     bytes.Replace(data, []byte("# kernel: gemm-b128"), []byte("# kernel:  gemm-b128 "), 1),
+		"signed count":      bytes.Replace(data, []byte("# end: 4"), []byte("# end: +4"), 1),
 	}
 	// Guard against silently ineffective bytes.Replace (e.g. the trailer
 	// text changing): every variant must actually differ from the intact
@@ -69,14 +119,22 @@ func TestDecodeMatchesRef(t *testing.T) {
 		if bytes.Equal(variant, data) {
 			t.Fatalf("%s: corruption did not modify the file", name)
 		}
-		_, gerr := Decode(path, variant)
-		_, werr := DecodeRef(path, variant)
-		if (gerr == nil) != (werr == nil) {
-			t.Errorf("%s: classification diverged: Decode=%v DecodeRef=%v", name, gerr, werr)
-			continue
+		if err := decodeContract(path, variant); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		if gerr == nil {
-			t.Errorf("%s: both decoders accepted a corrupt file", name)
+		if _, err := Decode(path, variant); err == nil {
+			t.Errorf("%s: Decode accepted a corrupt file", name)
+		}
+	}
+	for name, variant := range relaid {
+		if bytes.Equal(variant, data) {
+			t.Fatalf("%s: the variant did not modify the file", name)
+		}
+		if _, err := DecodeRef(path, variant); err != nil {
+			t.Errorf("%s: DecodeRef should read the variant: %v", name, err)
+		}
+		if err := decodeContract(path, variant); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 

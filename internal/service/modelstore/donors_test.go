@@ -38,21 +38,21 @@ func TestPutTransferRoundTrip(t *testing.T) {
 	if e.Transfer != prov {
 		t.Fatalf("provenance round-trip: got %q want %q", e.Transfer, prov)
 	}
-	// All three decode paths must read the header identically.
+	// Both decode paths must read the header identically.
 	data, err := os.ReadFile(s.Path(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	strictE, ok := decodeStrict(data)
+	scanE, ok := scanEncoded(data)
 	if !ok {
-		t.Fatal("intact transferred entry should take the strict path")
+		t.Fatal("intact transferred entry should take the scan")
 	}
 	refE, err := DecodeRef(s.Path(key), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(strictE, e) || !reflect.DeepEqual(refE, e) {
-		t.Fatalf("decode paths diverged:\n strict %+v\n ref    %+v\n get    %+v", strictE, refE, e)
+	if !reflect.DeepEqual(scanE, e) || !reflect.DeepEqual(refE, e) {
+		t.Fatalf("decode paths diverged:\n scan %+v\n ref  %+v\n get  %+v", scanE, refE, e)
 	}
 }
 

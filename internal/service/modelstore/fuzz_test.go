@@ -11,13 +11,14 @@ import (
 )
 
 // FuzzDecodeMatchesRef throws arbitrary bytes at both decoder
-// implementations and requires them to agree completely: the same
-// intact/corrupt classification, deep-equal entries on intact files, and
-// the identical error message on corrupt ones. This is the net under the
-// strict fast path — decodeStrict accepting a file the reference rejects
-// (or reading it differently) is exactly the kind of bug a hand-written
-// grammar subset can hide, and random mutation of real entry files probes
-// the edges a table of hand-picked corruptions misses.
+// implementations and requires the decode contract (decodeContract): what
+// DecodeRef rejects, Decode rejects with the identical message; what Decode
+// accepts, DecodeRef reads as a deep-equal entry; what only DecodeRef reads
+// is not the bytes encode writes for it. This is the net under the scan —
+// a scan that accepts bytes the reference reads differently, or refuses
+// the bytes encode writes, is exactly the kind of bug a hand-written
+// grammar can hide, and random mutation of real entry files probes the
+// edges a table of hand-picked corruptions misses.
 func FuzzDecodeMatchesRef(f *testing.F) {
 	intact, err := encode(testKey("default", "netlib-blas"), "gemm-b128", awkwardPoints(), "")
 	if err != nil {
@@ -39,20 +40,22 @@ func FuzzDecodeMatchesRef(f *testing.F) {
 	f.Add([]byte("\u2002# store: unicode-indent\n# end: 0\n"))
 	f.Add([]byte("# store: v\u00a0tail\n# end: 1\n16\u00a00.5 3 0\n"))
 	f.Add([]byte("16 0.5 3 0\r\n\t# end: 1\r\n"))
+	// A layout only DecodeRef reads, a device encode spreads over two
+	// lines, and an entry with no points.
+	f.Add(bytes.Replace(intact, []byte("# columns"), []byte("\n# columns"), 1))
+	for _, e := range []Entry{
+		{Key: testKey("default", "netlib-blas\n# x"), Kernel: "gemm-b128", Points: awkwardPoints()},
+		{Key: testKey("default", "netlib-blas"), Kernel: "gemm-b128"},
+	} {
+		b, err := encode(e.Key, e.Kernel, e.Points, e.Transfer)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gerr := Decode("fuzz.points", data)
-		want, werr := DecodeRef("fuzz.points", data)
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("classification diverged on %q:\n  Decode:    %v\n  DecodeRef: %v", data, gerr, werr)
-		}
-		if gerr != nil {
-			if gerr.Error() != werr.Error() {
-				t.Fatalf("messages diverged on %q:\n  Decode:    %v\n  DecodeRef: %v", data, gerr, werr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("entries diverged on %q:\n  Decode:    %+v\n  DecodeRef: %+v", data, got, want)
+		if err := decodeContract("fuzz.points", data); err != nil {
+			t.Fatalf("on %q: %v", data, err)
 		}
 	})
 }

@@ -471,10 +471,10 @@ func (s *Store) scanFile(fr *fileRec, f *os.File, path string, from int64, keep 
 			return err
 		}
 		if tail := sc.tail(); len(tail) > 0 || fr.end == 0 {
+			// A tail lacks a complete trailer line, so it is never the
+			// layout encode writes: decoding it always reports why.
 			r := &record{name: fr.name, off: fr.end, n: int64(len(tail)), corrupt: true, tail: true}
-			if _, r.err = decodeAt(path, fr.end, tail); r.err == nil {
-				r.err = errNotEncoded(entryLabel(path, fr.end))
-			}
+			_, r.err = decodeAt(path, fr.end, tail)
 			r.key, r.hasKey = headerKey(tail)
 			fr.rest = r
 			s.addRec(r)
@@ -510,6 +510,8 @@ func (s *Store) scanEntries(fr *fileRec, sc *scanner, path string, keep func(*re
 // decodeRecord decodes one complete entry into a record. Only the bytes
 // encode writes are intact: anything else that happens to decode is
 // corrupt, so no entry a reader serves can differ from the bytes on disk.
+// Decode's scan reads neither the device value nor how each number is
+// spelled; encodesTo checks both, here rather than on every re-read.
 func decodeRecord(name, path string, off int64, seg []byte, keep func(*record, Entry)) *record {
 	e, err := decodeAt(path, off, seg)
 	if err == nil && !encodesTo(e, seg) {

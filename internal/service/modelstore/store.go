@@ -22,6 +22,7 @@
 package modelstore
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -177,6 +178,11 @@ func parseKeyID(s string) (Key, error) {
 	}
 	if k.Prec, err = url.QueryUnescape(parts[7]); err != nil {
 		return Key{}, fmt.Errorf("modelstore: key %q: %w", s, err)
+	}
+	if strings.ContainsRune(k.Device, '\n') {
+		// encode writes the device on a header line of its own, so such a
+		// key has no entry Put would write.
+		return Key{}, fmt.Errorf("modelstore: key %q: device holds a newline", s)
 	}
 	if err := k.Validate(); err != nil {
 		return Key{}, err
@@ -360,6 +366,16 @@ func (s *Store) PutTransfer(k Key, kernel string, pts []core.Point, transfer str
 		return err
 	}
 	data := buf.Bytes()
+	for rest := data; len(rest) > 0; {
+		nl := bytes.IndexByte(rest, '\n') // data ends in a newline
+		if nl >= bufio.MaxScanTokenSize {
+			// A line no reader's scanner can read: every reader would find
+			// the entry corrupt, and every fill of the key would append
+			// another copy.
+			return fmt.Errorf("modelstore: refusing an entry with a line of %d bytes; readers read at most %d", nl, bufio.MaxScanTokenSize-1)
+		}
+		rest = rest[nl+1:]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fresh, torn := s.putPlan(k)
@@ -403,272 +419,120 @@ func (s *Store) putPlan(k Key) (fresh bool, torn []*record) {
 	return fresh, torn
 }
 
-// Decode parses and integrity-checks one entry file. It is the streaming
-// implementation: intact files written by this store take decodeStrict's
-// single zero-copy scan; anything that scan does not recognise falls back
-// to the general single-pass parse, where the store metadata ("# store:",
-// "# end:") is captured by the same model.ReadPointsMeta pass that parses
-// the points. DecodeRef keeps the straightforward two-pass implementation;
-// the two classify every file — intact or corrupt — identically (the
-// reference's check order is reproduced exactly), which TestDecodeMatchesRef
-// and FuzzDecodeMatchesRef pin.
-// It is exported for the perf harness and the equivalence tests; regular
-// access goes through Get and Load.
+// Decode parses and integrity-checks one entry by one scan of exactly the
+// bytes encode writes (scanEncoded). DecodeRef classifies whatever the scan
+// refuses: damage gets the reference's message, and a layout the reference
+// reads but encode never writes (a blank line, a tab, reordered headers) is
+// not in the store's encoding. TestDecodeMatchesRef and FuzzDecodeMatchesRef
+// pin this contract. It is exported for the perf harness and the
+// equivalence tests; regular access goes through Get and Load.
 func Decode(path string, data []byte) (Entry, error) {
-	var e Entry
-	var keyLine, transfer string
-	endCount := -1
-	badEnd := error(nil)
-	// The trailer must be the complete final line, newline included: any
-	// crash-truncation — even one byte — removes it.
-	if !bytes.HasSuffix(data, []byte("\n")) {
-		return e, fmt.Errorf("modelstore: %s: missing final newline (torn write?)", path)
-	}
-	if e, ok := decodeStrict(data); ok {
+	if e, ok := scanEncoded(data); ok {
 		return e, nil
 	}
-	pf, perr := model.ReadPointsMeta(bytes.NewReader(data), func(k, v string) {
-		switch k {
-		case "store":
-			keyLine = v
-		case "transfer":
-			transfer = v
-		case "end":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				if badEnd == nil {
-					badEnd = fmt.Errorf("modelstore: %s: bad end trailer: %w", path, err)
-				}
-				return
-			}
-			endCount = n
-		}
-	})
-	if perr != nil {
-		// The single pass aborts at the first malformed record, so any
-		// metadata after the fault (the end trailer in particular) was
-		// never seen. The file is corrupt either way; classify it through
-		// the reference's full scan so multi-fault files report the same
-		// corruption first, whichever implementation reads them.
-		return DecodeRef(path, data)
+	if _, err := DecodeRef(path, data); err != nil {
+		return Entry{}, err
 	}
-	// The reference implementation reads the metadata before the points;
-	// keep its error precedence so both report the same corruption first.
-	if badEnd != nil {
-		return e, badEnd
-	}
-	if keyLine == "" {
-		return e, fmt.Errorf("modelstore: %s: missing store key header", path)
-	}
-	if endCount < 0 {
-		return e, fmt.Errorf("modelstore: %s: missing end trailer (torn write?)", path)
-	}
-	key, err := parseKeyID(keyLine)
-	if err != nil {
-		return e, fmt.Errorf("modelstore: %s: %w", path, err)
-	}
-	if len(pf.Points) != endCount {
-		return e, fmt.Errorf("modelstore: %s: %d points but trailer says %d (torn write?)",
-			path, len(pf.Points), endCount)
-	}
-	return Entry{Key: key, Kernel: pf.Kernel, Points: pf.Points, Transfer: transfer}, nil
+	return Entry{}, errNotEncoded(path)
 }
 
-// decodeStrict is Decode's fast path: the whole file is converted to a
-// string once, then scanned in a single pass in which every line, key and
-// field is a substring of that one conversion — an intact 300-point entry
-// decodes in a handful of allocations instead of two per line. It only
-// understands the plain printable-ASCII grammar this store's own writer
-// emits (plus harmless space/tab/CR edge variation); ok=false on anything
-// else — Unicode bytes where trimming or field splitting could differ,
-// control characters, over-long lines, any malformed record — and Decode
-// then re-parses through the general path. The fast path can therefore
-// change how fast a file is read, never what it means; decodeStrict
-// succeeding where the general path would reject, or producing a different
-// entry, would be an equivalence bug (FuzzDecodeMatchesRef hunts for one).
-func decodeStrict(data []byte) (Entry, bool) {
-	s := string(data)
-	var kernel, keyLine, transfer string
-	endCount := -1
-	// Every point is a line: sized by the line count, the slice is filled
-	// without regrowth and keeps a few headers' worth of slack, not half.
-	pts := make([]core.Point, 0, strings.Count(s, "\n"))
-	pos := 0
-	for pos < len(s) {
-		nl := strings.IndexByte(s[pos:], '\n')
-		if nl < 0 {
-			// No final newline; Decode rejected this already, defensive.
+// scanEncoded reads data as the layout encode writes, trimming nothing and
+// skipping no line: the store header, a transfer header when there is
+// provenance, the points-file headers, one "d time reps ci" line per point
+// with single spaces, the "# end: <count>" trailer, and nothing after. It
+// returns what DecodeRef would, so it refuses what DecodeRef reads
+// otherwise: a key id, provenance or kernel DecodeRef would trim, and a line
+// DecodeRef's scanner cannot read. The device value is skipped: the key
+// carries it, and Put stores devices with edge spaces, tabs and '\r'.
+func scanEncoded(data []byte) (Entry, bool) {
+	// One conversion: every value below is a substring of it, and the ones
+	// an Entry keeps are cloned, so it does not pin the file's bytes.
+	l := entryLines{rest: string(data), ok: true}
+	id := l.next("# store: ")
+	var transfer string
+	if strings.HasPrefix(l.rest, "# transfer: ") {
+		if transfer = l.next("# transfer: "); transfer == "" {
 			return Entry{}, false
 		}
-		if nl > 32*1024 {
-			// The general path's line scanner has a token size limit this
-			// scan does not; near it, the two could classify differently.
-			return Entry{}, false
-		}
-		ln := s[pos : pos+nl]
-		pos += nl + 1
-		// Trim the ASCII whitespace strings.TrimSpace would trim; if a
-		// control or non-ASCII byte is left on an edge, TrimSpace might
-		// remove more (\v, \f, Unicode spaces) — bail rather than guess.
-		for len(ln) > 0 && (ln[0] == ' ' || ln[0] == '\t' || ln[0] == '\r') {
-			ln = ln[1:]
-		}
-		for len(ln) > 0 && (ln[len(ln)-1] == ' ' || ln[len(ln)-1] == '\t' || ln[len(ln)-1] == '\r') {
-			ln = ln[:len(ln)-1]
-		}
-		if len(ln) == 0 {
-			continue
-		}
-		if ln[0] < 0x21 || ln[0] >= 0x7F || ln[len(ln)-1] < 0x21 || ln[len(ln)-1] >= 0x7F {
-			return Entry{}, false
-		}
-		if ln[0] == '#' {
-			m := ln[1:]
-			for len(m) > 0 && (m[0] == ' ' || m[0] == '\t') {
-				m = m[1:]
-			}
-			if len(m) == 0 {
-				continue
-			}
-			if m[0] < 0x21 || m[0] >= 0x7F {
-				return Entry{}, false
-			}
-			switch {
-			case strings.HasPrefix(m, "kernel:"):
-				v, ok := strictValue(m[len("kernel:"):])
-				if !ok {
-					return Entry{}, false
-				}
-				kernel = v
-			case strings.HasPrefix(m, "device:"):
-				// The device header is parsed but not part of an Entry;
-				// only its trim ambiguity matters.
-				if _, ok := strictValue(m[len("device:"):]); !ok {
-					return Entry{}, false
-				}
-			default:
-				c := strings.IndexByte(m, ':')
-				if c < 0 {
-					continue
-				}
-				switch m[:c] {
-				case "store":
-					v, ok := strictValue(m[c+1:])
-					if !ok || v == "" {
-						return Entry{}, false
-					}
-					keyLine = v
-				case "transfer":
-					v, ok := strictValue(m[c+1:])
-					if !ok {
-						return Entry{}, false
-					}
-					transfer = v
-				case "end":
-					v, ok := strictValue(m[c+1:])
-					if !ok {
-						return Entry{}, false
-					}
-					n, err := strconv.Atoi(v)
-					if err != nil || n < 0 {
-						// A negative trailer means "missing trailer" to the
-						// general path; let it say so.
-						return Entry{}, false
-					}
-					endCount = n
-				}
-			}
-			continue
-		}
-		// Data record: exactly four printable-ASCII fields split on
-		// space/tab, parsed with the same strconv calls the general path
-		// uses — on identical substrings, so identical values or errors.
-		var f [4]string
-		n := 0
-		start := -1
-		for i := 0; i <= len(ln); i++ {
-			c := byte(' ')
-			if i < len(ln) {
-				c = ln[i]
-			}
-			switch {
-			case c == ' ' || c == '\t':
-				if start >= 0 {
-					if n == 4 {
-						return Entry{}, false
-					}
-					f[n] = ln[start:i]
-					n++
-					start = -1
-				}
-			case c < 0x21 || c >= 0x7F:
-				return Entry{}, false
-			default:
-				if start < 0 {
-					start = i
-				}
-			}
-		}
-		if n != 4 {
-			return Entry{}, false
-		}
-		d, err := strconv.Atoi(f[0])
-		if err != nil {
-			return Entry{}, false
-		}
-		tm, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			return Entry{}, false
-		}
-		reps, err := strconv.Atoi(f[2])
-		if err != nil {
-			return Entry{}, false
-		}
-		ci, err := strconv.ParseFloat(f[3], 64)
-		if err != nil {
-			return Entry{}, false
-		}
-		p := core.Point{D: d, Time: tm, Reps: reps, CI: ci}
-		if p.Validate() != nil {
-			return Entry{}, false
-		}
-		pts = append(pts, p)
 	}
-	if keyLine == "" || endCount < 0 || len(pts) != endCount {
+	l.exactly("# fupermod points v1")
+	kernel := l.next("# kernel: ")
+	l.next("# device: ")
+	l.exactly("# columns: d time reps ci")
+	if !l.ok || strings.TrimSpace(id) != id || strings.TrimSpace(transfer) != transfer || strings.TrimSpace(kernel) != kernel {
 		return Entry{}, false
 	}
-	// The kept strings are substrings of the one big conversion; clone
-	// them so a long-lived Entry does not pin the whole file in memory.
-	key, err := parseKeyID(strings.Clone(keyLine))
+	// Every line left but the trailer is a point.
+	var pts []core.Point
+	if n := strings.Count(l.rest, "\n") - 1; n > 0 {
+		pts = make([]core.Point, n)
+	}
+	for i := range pts {
+		p, ok := parsePoint(l.next(""))
+		if !ok {
+			return Entry{}, false
+		}
+		pts[i] = p
+	}
+	var count [20]byte
+	end := l.next("# end: ")
+	if !l.ok || l.rest != "" || end != string(strconv.AppendInt(count[:0], int64(len(pts)), 10)) {
+		return Entry{}, false
+	}
+	key, err := parseKeyID(strings.Clone(id))
 	if err != nil {
 		return Entry{}, false
 	}
 	return Entry{Key: key, Kernel: strings.Clone(kernel), Points: pts, Transfer: strings.Clone(transfer)}, true
 }
 
-// strictValue trims ASCII space/tab off a metadata value and reports
-// whether the result is unambiguous under the general path's Unicode-aware
-// TrimSpace — that is, whatever is left on the edges is printable ASCII.
-func strictValue(v string) (string, bool) {
-	for len(v) > 0 && (v[0] == ' ' || v[0] == '\t') {
-		v = v[1:]
+// entryLines walks an entry's lines for scanEncoded. The first line that
+// does not fit turns ok false, and every later call returns "".
+type entryLines struct {
+	rest string
+	ok   bool
+}
+
+// next consumes the next line, which must open with prefix, and returns
+// the rest of it. A line of bufio.MaxScanTokenSize bytes or more does not
+// fit: DecodeRef's line scanner cannot read it.
+func (l *entryLines) next(prefix string) string {
+	nl := strings.IndexByte(l.rest, '\n')
+	if !l.ok || nl < 0 || nl >= bufio.MaxScanTokenSize || !strings.HasPrefix(l.rest[:nl], prefix) {
+		l.ok = false
+		return ""
 	}
-	for len(v) > 0 && (v[len(v)-1] == ' ' || v[len(v)-1] == '\t') {
-		v = v[:len(v)-1]
+	v := l.rest[len(prefix):nl]
+	l.rest = l.rest[nl+1:]
+	return v
+}
+
+// exactly consumes the next line, which must be line.
+func (l *entryLines) exactly(line string) {
+	if l.next(line) != "" {
+		l.ok = false
 	}
-	if v == "" {
-		return "", true
-	}
-	if v[0] < 0x21 || v[0] >= 0x7F || v[len(v)-1] < 0x21 || v[len(v)-1] >= 0x7F {
-		return "", false
-	}
-	return v, true
+}
+
+// parsePoint reads one record with the calls model.ReadPoints makes, one
+// space between its four fields: a field holding a space does not parse.
+func parsePoint(ln string) (core.Point, bool) {
+	d, ln, _ := strings.Cut(ln, " ")
+	tm, ln, _ := strings.Cut(ln, " ")
+	reps, ci, _ := strings.Cut(ln, " ")
+	var p core.Point
+	var err1, err2, err3, err4 error
+	p.D, err1 = strconv.Atoi(d)
+	p.Time, err2 = strconv.ParseFloat(tm, 64)
+	p.Reps, err3 = strconv.Atoi(reps)
+	p.CI, err4 = strconv.ParseFloat(ci, 64)
+	return p, err1 == nil && err2 == nil && err3 == nil && err4 == nil && p.Validate() == nil
 }
 
 // DecodeRef is the reference implementation of Decode: line-split the
 // whole file for the store metadata, then re-parse it with
-// model.ReadPoints. Kept (pool.MapSeq-style) as the specification the
-// streaming fast path is equivalence-tested against.
+// model.ReadPoints. It is the specification Decode's scan is tested
+// against, and it classifies every entry that scan refuses.
 func DecodeRef(path string, data []byte) (Entry, error) {
 	var e Entry
 	var keyLine, transfer string
@@ -744,7 +608,7 @@ func (s *Store) Get(k Key) (Entry, bool, error) {
 // entryBuffers pools the read scratch of Get, Load and Rank, so a reload
 // over a populated store reuses one buffer across all entries instead of
 // allocating a fresh byte slice per entry. Decode copies everything it
-// keeps (the scanner materialises new strings and points), so reusing the
+// keeps (its scan reads a string copy of the bytes), so reusing the
 // backing buffer between entries is safe.
 var entryBuffers = sync.Pool{New: func() any { return new([]byte) }}
 

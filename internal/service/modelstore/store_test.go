@@ -1,10 +1,12 @@
 package modelstore
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -300,5 +302,77 @@ func TestEntryBytes(t *testing.T) {
 		if string(got) != want {
 			t.Errorf("provenance %q: encoded\n%q\nwant\n%q", prov, got, want)
 		}
+	}
+}
+
+// TestPutRoundTripsEveryStorableEntry: every entry Put accepts reads back
+// deep-equal through Decode, Get, Load and a fresh handle's Get, and the
+// census counts no corrupt entry — devices with edge spaces, tabs or a
+// carriage return, kernels with a carriage return inside or non-ASCII
+// letters, provenance, and header lines up to 65,535 bytes long included.
+// An entry with a line no reader can read is refused, and nothing lands on
+// disk.
+func TestPutRoundTripsEveryStorableEntry(t *testing.T) {
+	const prov = "donor=t/d/seed=1/noise=0/grid=16:5000:20 scale=2.5 probes=6/20 maxdiff=0.011"
+	cases := []struct {
+		name             string
+		key              Key
+		kernel, transfer string
+		refused          bool
+	}{
+		{name: "device ending in CR", key: testKey("t", "X\r"), kernel: "gemm-b128"},
+		{name: "device ending in tab", key: testKey("t", "dev\t"), kernel: "gemm-b128"},
+		{name: "device with leading spaces", key: testKey("t", "  lead"), kernel: "gemm-b128"},
+		{name: "device with a trailing space", key: testKey("t", "uni "), kernel: "gemm-b128"},
+		{name: "kernel with CR inside", key: testKey("t", "dev"), kernel: "a\rb"},
+		{name: "non-ASCII kernel", key: testKey("t", "dev"), kernel: "ünï"},
+		{name: "transfer provenance", key: testKey("t", "dev"), kernel: "gemm-b128", transfer: prov},
+		{name: "40 KiB tenant", key: testKey(strings.Repeat("t", 40<<10), "dev"), kernel: "gemm-b128"},
+		{name: "40 KiB device", key: testKey("t", strings.Repeat("d", 40<<10)), kernel: "gemm-b128"},
+		{name: "longest readable line", key: testKey("t", "dev"), kernel: strings.Repeat("k", bufio.MaxScanTokenSize-1-len("# kernel: "))},
+		{name: "70 KiB tenant", key: testKey(strings.Repeat("t", 70<<10), "dev"), kernel: "gemm-b128", refused: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Entry{Key: c.key, Kernel: c.kernel, Points: awkwardPoints(), Transfer: c.transfer}
+			err = s.PutTransfer(c.key, c.kernel, want.Points, c.transfer)
+			if c.refused {
+				if err == nil {
+					t.Fatal("Put stored an entry no reader can read")
+				}
+				if names, _ := entryFiles(dir); len(names) != 0 {
+					t.Fatalf("a refused Put left %v on disk", names)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(s.Path(c.key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := Decode("entry.points", data); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("Decode = %+v, %v", got, err)
+			}
+			if got, ok, err := s.Get(c.key); !ok || err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("Get = %+v, %v, %v", got, ok, err)
+			}
+			entries, corrupt, err := s.Load()
+			if err != nil || len(corrupt) != 0 || len(entries) != 1 || !reflect.DeepEqual(entries[0], want) {
+				t.Errorf("Load = %+v, corrupt %v, %v", entries, corrupt, err)
+			}
+			if got, ok, err := freshHandle(dir).Get(c.key); !ok || err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("fresh handle's Get = %+v, %v, %v", got, ok, err)
+			}
+			if st, err := freshHandle(dir).Stats(); err != nil || st.CorruptFiles != 0 || st.Entries != 1 {
+				t.Errorf("Stats = %+v, %v", st, err)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fupermod/internal/model"
@@ -227,5 +228,35 @@ func TestStoreIsolatesPrecision(t *testing.T) {
 	}
 	if snap := getStats(t, ts2.URL); snap.Sweeps != 1 {
 		t.Errorf("sweeps=%d, want 1: a different precision is a different measurement", snap.Sweeps)
+	}
+}
+
+// TestStoreRefusesUnreadableEntry: a key whose entry would hold a line no
+// reader can read (a 70 KiB tenant) is not spilled. The request is served
+// from its sweep, the refusal counts as a store error, and a second server
+// on the same directory finds nothing corrupt.
+func TestStoreRefusesUnreadableEntry(t *testing.T) {
+	dir := t.TempDir()
+	req := MeasureRequest{Tenant: strings.Repeat("t", 70<<10), Device: DeviceSpec{Preset: "fast", Seed: 1}, Grid: testGrid}
+
+	_, plain := newTestServer(t, Config{})
+	status, want := postJSON(t, plain.URL+"/v1/measure", req)
+	if status != 200 {
+		t.Fatalf("store-less measure: status %d: %s", status, want)
+	}
+	for i := 1; i <= 2; i++ {
+		_, ts := newStoreServer(t, dir, Config{})
+		status, got := postJSON(t, ts.URL+"/v1/measure", req)
+		if status != 200 {
+			t.Fatalf("server %d: status %d: %s", i, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("server %d served other points than the sweep:\n%s\n%s", i, got, want)
+		}
+		snap := getStats(t, ts.URL)
+		if snap.StoreErrors != 1 || snap.StoreSpills != 0 || snap.StoreCorrupt != 0 {
+			t.Errorf("server %d: store_errors %d, store_spills %d, store_corrupt %d; want 1, 0, 0",
+				i, snap.StoreErrors, snap.StoreSpills, snap.StoreCorrupt)
+		}
 	}
 }

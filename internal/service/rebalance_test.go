@@ -240,7 +240,7 @@ func TestRebalanceValidation(t *testing.T) {
 		mutate(func(r *RebalanceRequest) { r.N = 0 }),
 		mutate(func(r *RebalanceRequest) { r.N = MaxDevices + 1 }),
 		mutate(func(r *RebalanceRequest) { r.D = 2 }),
-		mutate(func(r *RebalanceRequest) { r.Units = []int{3000} }),                   // wrong length
+		mutate(func(r *RebalanceRequest) { r.Units = []int{3000} }),                  // wrong length
 		mutate(func(r *RebalanceRequest) { r.Units = []int{3000, 1000, -1000} }),     // negative
 		mutate(func(r *RebalanceRequest) { r.Units = []int{1000, 1000, 900} }),       // wrong sum
 		mutate(func(r *RebalanceRequest) { r.Iterations = nil }),                     // no observations

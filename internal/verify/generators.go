@@ -145,10 +145,10 @@ func (g *Gen) Proc(shape Shape) Proc {
 			return o + x/s
 		}}
 	case ShapeGPUCliff:
-		peak *= g.uniform(3, 10)            // accelerators are fast in-core
-		overhead := g.uniform(1e-3, 2e-2)   // kernel-launch + transfer cost
-		mem := g.uniform(5000, 40000)       // device-memory limit in units
-		severity := g.uniform(0.5, 3)       // out-of-core penalty slope
+		peak *= g.uniform(3, 10)          // accelerators are fast in-core
+		overhead := g.uniform(1e-3, 2e-2) // kernel-launch + transfer cost
+		mem := g.uniform(5000, 40000)     // device-memory limit in units
+		severity := g.uniform(0.5, 3)     // out-of-core penalty slope
 		return Proc{Name: name, Shape: shape, Time: func(x float64) float64 {
 			t := overhead + x/peak
 			if x > mem {
