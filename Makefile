@@ -80,12 +80,13 @@ rebalance:
 ## internal/verify, and the service/CLI wiring (-count=1: the concurrent
 ## cold-start-storm test asserts one transfer flight per key under live
 ## scheduling, which a cached pass would not exercise; the donor-index
-## tests, whose queries race writers and transfer fills, run ten times)
+## tests, whose queries race writers and transfer fills, and the donor
+## selection test, whose snapshots hold donors in map order, run ten times)
 transfer:
 	$(GO) vet ./internal/transfer
 	$(GO) test -race -count=1 ./internal/transfer
 	$(GO) test -race -count=1 -run 'Transfer|DiffTransfer' ./internal/verify ./internal/service ./cmd/fupermod-serve ./cmd/fupermod-bench
-	$(GO) test -race -count=10 -run 'DonorIndex' ./internal/service ./internal/service/modelstore
+	$(GO) test -race -count=10 -run 'DonorIndex|DonorsRank' ./internal/service ./internal/service/modelstore
 
 ## store: vet + race-test the on-disk model store — append files, the
 ## per-entry index, torn-tail healing — then, ten times over, the tests in

@@ -401,8 +401,8 @@ func TestPerfSuiteShape(t *testing.T) {
 			t.Errorf("suite is missing reference twin %s-ref", optimized)
 		}
 	}
-	// The service rows are tracked without a twin.
-	for _, tracked := range []string{"service/json-roundtrip", "service/batch-key"} {
+	// The service rows and the model fit are tracked without a twin.
+	for _, tracked := range []string{"service/json-roundtrip", "service/batch-key", "model/fit"} {
 		if !names[tracked] {
 			t.Errorf("suite is missing tracked benchmark %s", tracked)
 		}

@@ -40,6 +40,7 @@ func PerfSuite() []PerfBenchmark {
 		{Name: "verify/oracle-dp-ref", F: benchOracle(verify.OracleRef)},
 		{Name: "model/piecewise-eval", F: benchPiecewiseEval((*model.Piecewise).Time)},
 		{Name: "model/piecewise-eval-ref", F: benchPiecewiseEval((*model.Piecewise).TimeRef)},
+		{Name: "model/fit", F: benchModelFit},
 		{Name: "model/write-points", F: benchWritePoints(model.WritePoints)},
 		{Name: "model/write-points-ref", F: benchWritePoints(model.WritePointsRef)},
 		{Name: "service/json-roundtrip", F: benchJSONRoundtrip},
@@ -179,6 +180,32 @@ func benchPiecewiseEval(eval func(*model.Piecewise, float64) (float64, error)) f
 				sink += t
 			}
 		}
+	}
+}
+
+// benchModelFit tracks fitting a piecewise model to a finished 40-point
+// sweep through core.UpdateAll, as every service fill, preload and CLI
+// build does. It has no -ref twin: the one-Update-per-point fit it
+// replaced is not production code, and BenchmarkPiecewiseFit in
+// internal/model times the two side by side.
+func benchModelFit(b *testing.B) {
+	dev := platform.NetlibBLASCore()
+	sizes := core.LogSizes(16, 60000, 40)
+	pts := make([]core.Point, len(sizes))
+	for i, d := range sizes {
+		pts[i] = core.Point{D: d, Time: dev.BaseTime(float64(d)), Reps: 1}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := model.NewPiecewise()
+		if err := core.UpdateAll(m, pts); err != nil {
+			b.Fatal(err)
+		}
+		t, err := m.Time(1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink += t
 	}
 }
 

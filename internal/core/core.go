@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Point is the result of measuring a kernel at one problem size; it mirrors
@@ -48,10 +49,14 @@ func (p Point) Speed() float64 {
 // is valid: Benchmark rejects only negative run times, so a kernel that
 // completes below the clock resolution (or an infinitely fast virtual
 // device) legitimately produces Time == 0 — models floor such points at a
-// tiny positive time when fitting.
+// tiny positive time when fitting. A NaN or infinite time is not: no
+// partitioner can balance it, and it gives no shape fingerprint.
 func (p Point) Validate() error {
 	if p.D <= 0 {
 		return fmt.Errorf("core: point has non-positive size %d", p.D)
+	}
+	if math.IsNaN(p.Time) || math.IsInf(p.Time, 0) {
+		return fmt.Errorf("core: point at d=%d has non-finite time %g", p.D, p.Time)
 	}
 	if p.Time < 0 {
 		return fmt.Errorf("core: point at d=%d has negative time %g", p.D, p.Time)

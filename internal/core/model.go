@@ -47,7 +47,21 @@ func ModelSpeed(m Model, x float64) (float64, error) {
 }
 
 // UpdateAll feeds every point to the model, stopping at the first error.
+// A model whose state depends only on its final point set takes the whole
+// set through its Fit method and rebuilds once, leaving the state and the
+// error that feeding the points one at a time through Update would: a fit
+// from a finished sweep then costs one rebuild, not one per point.
 func UpdateAll(m Model, pts []Point) error {
+	if f, ok := m.(interface{ Fit([]Point) error }); ok {
+		return f.Fit(pts)
+	}
+	return UpdateEach(m, pts)
+}
+
+// UpdateEach feeds every point to the model's Update in turn, stopping at
+// the first error: UpdateAll's path for a model without Fit, and the
+// sequence a Fit must match.
+func UpdateEach(m Model, pts []Point) error {
 	for _, p := range pts {
 		if err := m.Update(p); err != nil {
 			return err

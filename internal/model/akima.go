@@ -35,20 +35,29 @@ func (m *Akima) Update(p core.Point) error {
 	if err := m.set.add(p); err != nil {
 		return err
 	}
+	return m.rebuild()
+}
+
+// Fit adds every point and rebuilds once; core.UpdateAll calls it. The
+// model ends as one Update per point would leave it.
+func (m *Akima) Fit(pts []core.Point) error { return fit(m, &m.set, pts) }
+
+func (m *Akima) rebuild() error {
 	m.sp = nil
-	if len(m.set.pts) >= 2 {
-		xs := make([]float64, len(m.set.pts))
-		ys := make([]float64, len(m.set.pts))
-		for i, q := range m.set.pts {
-			xs[i] = float64(q.D)
-			ys[i] = q.Time
-		}
-		sp, err := interp.NewAkima(xs, ys)
-		if err != nil {
-			return fmt.Errorf("model: akima rebuild: %w", err)
-		}
-		m.sp = sp
+	if len(m.set.pts) < 2 {
+		return nil
 	}
+	xs := make([]float64, len(m.set.pts))
+	ys := make([]float64, len(m.set.pts))
+	for i, q := range m.set.pts {
+		xs[i] = float64(q.D)
+		ys[i] = q.Time
+	}
+	sp, err := interp.NewAkima(xs, ys)
+	if err != nil {
+		return fmt.Errorf("model: akima rebuild: %w", err)
+	}
+	m.sp = sp
 	return nil
 }
 

@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +46,10 @@ func FuzzReadPoints(f *testing.F) {
 
 // FuzzModelUpdates checks that arbitrary (valid) point sequences never
 // break a model's invariants: Time stays positive and finite over the
-// measured range for every model kind.
+// measured range for every model kind. It also checks core.UpdateAll
+// against a plain Update loop for every kind (diffFit), on the sequence
+// and on a copy with a repeated size and an invalid point inserted: the
+// same error, and bit-identical state.
 func FuzzModelUpdates(f *testing.F) {
 	f.Add(int64(1), uint8(5))
 	f.Add(int64(42), uint8(30))
@@ -66,10 +71,12 @@ func FuzzModelUpdates(f *testing.F) {
 				t.Fatal(err)
 			}
 			maxD := 1
+			pts := make([]core.Point, 0, n)
 			for i := 0; i < n; i++ {
 				d := int(next(100000)) + 1
 				tm := float64(next(1000000)+1) / 1e4
-				if err := m.Update(core.Point{D: d, Time: tm, Reps: 1}); err != nil {
+				pts = append(pts, core.Point{D: d, Time: tm, Reps: 1})
+				if err := m.Update(pts[i]); err != nil {
 					t.Fatalf("%s: valid point rejected: %v", kind, err)
 				}
 				if d > maxD {
@@ -84,6 +91,18 @@ func FuzzModelUpdates(f *testing.F) {
 				if !(tt >= 0) || tt != tt {
 					t.Fatalf("%s: Time(%g) = %g", kind, probe, tt)
 				}
+			}
+			if d := diffFit(kind, nil, pts); d != "" {
+				t.Fatal(d)
+			}
+			repeat := pts[next(int64(n))]
+			repeat.Time *= 1.5
+			repeat.Reps = int(next(4))
+			invalid := []core.Point{{D: 0, Time: 1}, {D: 7, Time: math.NaN()}, {D: 7, Time: -1}, {D: 7, Time: math.Inf(1)}}[next(4)]
+			mixed := slices.Insert(slices.Clone(pts), int(next(int64(n+1))), repeat)
+			mixed = slices.Insert(mixed, int(next(int64(n+2))), invalid)
+			if d := diffFit(kind, nil, mixed); d != "" {
+				t.Fatal(d)
 			}
 		}
 	})

@@ -33,29 +33,38 @@ func (m *Hermite) Update(p core.Point) error {
 	if err := m.set.add(p); err != nil {
 		return err
 	}
+	return m.rebuild()
+}
+
+// Fit adds every point and rebuilds once; core.UpdateAll calls it. The
+// model ends as one Update per point would leave it.
+func (m *Hermite) Fit(pts []core.Point) error { return fit(m, &m.set, pts) }
+
+func (m *Hermite) rebuild() error {
 	m.sp = nil
-	if len(m.set.pts) >= 2 {
-		xs := make([]float64, len(m.set.pts))
-		ys := make([]float64, len(m.set.pts))
-		prev := 0.0
-		for i, q := range m.set.pts {
-			xs[i] = float64(q.D)
-			// Gentle monotonisation of the *data*: Fritsch–Carlson keeps
-			// monotone data monotone, so feed it the running maximum of
-			// the measured times (physical time functions never shrink).
-			tVal := q.Time
-			if tVal < prev {
-				tVal = prev * (1 + minTimeGrowth)
-			}
-			ys[i] = tVal
-			prev = tVal
-		}
-		sp, err := interp.NewHermite(xs, ys)
-		if err != nil {
-			return fmt.Errorf("model: hermite rebuild: %w", err)
-		}
-		m.sp = sp
+	if len(m.set.pts) < 2 {
+		return nil
 	}
+	xs := make([]float64, len(m.set.pts))
+	ys := make([]float64, len(m.set.pts))
+	prev := 0.0
+	for i, q := range m.set.pts {
+		xs[i] = float64(q.D)
+		// Gentle monotonisation of the *data*: Fritsch–Carlson keeps
+		// monotone data monotone, so feed it the running maximum of the
+		// measured times (physical time functions never shrink).
+		tVal := q.Time
+		if tVal < prev {
+			tVal = prev * (1 + minTimeGrowth)
+		}
+		ys[i] = tVal
+		prev = tVal
+	}
+	sp, err := interp.NewHermite(xs, ys)
+	if err != nil {
+		return fmt.Errorf("model: hermite rebuild: %w", err)
+	}
+	m.sp = sp
 	return nil
 }
 

@@ -91,6 +91,46 @@ func (s *pointSet) add(p core.Point) error {
 	return nil
 }
 
+// setModel is a model whose state is a function of its point set alone:
+// rebuild derives it from the set, and Update is an add and a rebuild.
+type setModel interface {
+	core.Model
+	rebuild() error
+}
+
+// maxExactSize bounds the sizes whose float64 knots are exact: below it,
+// distinct sizes make distinct knots, so a rebuild cannot fail.
+const maxExactSize int64 = 1 << 53
+
+// fit is the Fit of a setModel m over its set s: it adds pts in input
+// order, merging repeated sizes as Update would, and then rebuilds once.
+// That leaves the state and the error of one Update per point: an invalid
+// point stops the adds, and the rebuild covers the points added before it.
+// When a size reaches maxExactSize, where a rebuild can fail on two equal
+// knots, fit runs the Updates themselves, so the failure comes at the same
+// point.
+func fit(m setModel, s *pointSet, pts []core.Point) error {
+	if !exactSizes(s.pts) || !exactSizes(pts) {
+		return core.UpdateEach(m, pts)
+	}
+	for _, p := range pts {
+		if err := s.add(p); err != nil {
+			_ = m.rebuild() // cannot fail: every size is exact
+			return err
+		}
+	}
+	return m.rebuild()
+}
+
+func exactSizes(pts []core.Point) bool {
+	for _, p := range pts {
+		if int64(p.D) >= maxExactSize {
+			return false
+		}
+	}
+	return true
+}
+
 // points returns a copy of the stored points.
 func (s *pointSet) points() []core.Point {
 	return append([]core.Point(nil), s.pts...)

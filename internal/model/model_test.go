@@ -50,6 +50,14 @@ func TestModelsRejectInvalidPoints(t *testing.T) {
 		if err := m.Update(core.Point{D: 5, Time: -2}); err == nil {
 			t.Errorf("%s: negative time accepted", kind)
 		}
+		for _, tm := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := m.Update(core.Point{D: 5, Time: tm}); err == nil || !strings.Contains(err.Error(), "non-finite time") {
+				t.Errorf("%s: time %g: err = %v, want non-finite time", kind, tm, err)
+			}
+		}
+		if pts := m.Points(); len(pts) != 0 {
+			t.Errorf("%s: rejected points kept: %v", kind, pts)
+		}
 	}
 }
 
@@ -404,6 +412,18 @@ func TestReadPointsErrors(t *testing.T) {
 	pf, err := ReadPoints(strings.NewReader(ok))
 	if err != nil || len(pf.Points) != 1 {
 		t.Errorf("tolerant parse failed: %v, %+v", err, pf)
+	}
+}
+
+// TestReadPointsRejectsNonFiniteTimes: a NaN or infinite time, in any
+// spelling ParseFloat takes, fails the file at its line.
+func TestReadPointsRejectsNonFiniteTimes(t *testing.T) {
+	for _, tm := range []string{"NaN", "nan", "+Inf", "inf", "-Inf", "Infinity"} {
+		text := "# fupermod points v1\n10 0.5 1 0\n20 " + tm + " 1 0\n30 1.5 1 0\n"
+		_, err := ReadPoints(strings.NewReader(text))
+		if err == nil || !strings.Contains(err.Error(), "line 3:") || !strings.Contains(err.Error(), "non-finite time") {
+			t.Errorf("time %s: err = %v, want a non-finite time at line 3", tm, err)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ type Piecewise struct {
 	set pointSet
 
 	// coarse holds the coarsened (size, time) knots; itp interpolates
-	// them. Both are rebuilt by Update.
+	// them. Both are rebuilt by Update and Fit.
 	coarseD []float64
 	coarseT []float64
 	itp     *interp.Linear
@@ -52,6 +52,10 @@ func (m *Piecewise) Update(p core.Point) error {
 	}
 	return m.rebuild()
 }
+
+// Fit adds every point and rebuilds once; core.UpdateAll calls it. The
+// model ends as one Update per point would leave it.
+func (m *Piecewise) Fit(pts []core.Point) error { return fit(m, &m.set, pts) }
 
 func (m *Piecewise) rebuild() error {
 	pts := m.set.pts

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fupermod/internal/core"
 )
 
 // populatedEntryBytes spills one entry through the real Put path and
@@ -101,6 +104,9 @@ func TestDecodeMatchesRef(t *testing.T) {
 		"newline in device": newlineDevice,
 		// A line DecodeRef's scanner cannot read.
 		"64 KiB line": longLine,
+		// Times no model can use, in spellings ParseFloat reads.
+		"NaN time":      bytes.Replace(data, []byte("\n16 0.3333333333333333 "), []byte("\n16 NaN "), 1),
+		"infinite time": bytes.Replace(data, []byte("\n16 0.3333333333333333 "), []byte("\n16 +Inf "), 1),
 	}
 	// Layouts DecodeRef reads but encode never writes: Decode refuses them
 	// as not in the store's encoding (clause iii).
@@ -142,7 +148,8 @@ func TestDecodeMatchesRef(t *testing.T) {
 	// message, not merely both fail — operators grep these.
 	identical := []string{"empty", "truncated last byte", "missing end trailer",
 		"missing store header", "bad end count", "count mismatch", "garbage data line",
-		"spaced end key", "spaced store key", "second bad end mid", "two end trailers"}
+		"spaced end key", "spaced store key", "second bad end mid", "two end trailers",
+		"NaN time", "infinite time"}
 	for _, name := range identical {
 		_, gerr := Decode(path, corrupt[name])
 		_, werr := DecodeRef(path, corrupt[name])
@@ -152,6 +159,29 @@ func TestDecodeMatchesRef(t *testing.T) {
 		if gerr.Error() != werr.Error() {
 			t.Errorf("%s: messages diverged:\n  Decode:    %v\n  DecodeRef: %v", name, gerr, werr)
 		}
+	}
+	for _, name := range []string{"NaN time", "infinite time"} {
+		if _, err := Decode(path, corrupt[name]); err == nil || !strings.Contains(err.Error(), "non-finite time") {
+			t.Errorf("%s: Decode error %v, want a non-finite time", name, err)
+		}
+	}
+}
+
+// TestPutRefusesNonFiniteTimes: a spill never writes a point no reader
+// would accept.
+func TestPutRefusesNonFiniteTimes(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range []float64{math.NaN(), math.Inf(1)} {
+		pts := append(awkwardPoints(), core.Point{D: 9000, Time: tm, Reps: 1})
+		if err := s.Put(testKey("default", "nan"), "k", pts); err == nil || !strings.Contains(err.Error(), "non-finite time") {
+			t.Errorf("time %g: Put error %v, want a non-finite time", tm, err)
+		}
+	}
+	if st, err := s.Stats(); err != nil || st.Entries != 0 {
+		t.Errorf("refused Puts left entries: %+v, %v", st, err)
 	}
 }
 

@@ -597,7 +597,7 @@ func (s *Store) readEntry(r *record) (Entry, error) {
 // donate to the key being filled, as of one refresh.
 type Donors struct {
 	s    *Store
-	recs []*record // in store order, so full ranking ties break alike on every replica
+	recs []*record // in no set order: Rank's order ends with store order
 }
 
 // Donors refreshes the index and snapshots the pool DonorPool would load
@@ -616,7 +616,6 @@ func (s *Store) Donors(exclude Key) (*Donors, error) {
 		}
 	}
 	s.idxMu.Unlock()
-	slices.SortFunc(d.recs, cmpRecord)
 	return d, nil
 }
 
@@ -630,32 +629,67 @@ type rankedRecord struct {
 	dist float64
 }
 
+// cmpRanked is Rank's order: transfer.Rank's (distance, donor ID), then
+// store order, as transfer.Rank's stable sort over DonorPool leaves full
+// ties. Records are distinct entries, so the order is total and its top k
+// do not depend on the order the snapshot holds them in.
+func cmpRanked(a, b rankedRecord) int {
+	if c := transfer.CompareRanked(a.dist, a.rec.id, b.dist, b.rec.id); c != 0 {
+		return c
+	}
+	return cmpRecord(a.rec, b.rec)
+}
+
+// ranked returns the snapshot's fingerprinted donors in Rank's order: all
+// of them when max <= 0, else the first max, kept in one pass over the
+// snapshot in a sorted buffer of max.
+func (d *Donors) ranked(r transfer.Ranker, max int) []rankedRecord {
+	if max <= 0 {
+		all := make([]rankedRecord, 0, len(d.recs))
+		for _, rec := range d.recs {
+			if rec.hasFP {
+				all = append(all, rankedRecord{rec: rec, dist: r.Distance(rec.fp)})
+			}
+		}
+		slices.SortFunc(all, cmpRanked)
+		return all
+	}
+	top := make([]rankedRecord, 0, max+1)
+	for _, rec := range d.recs {
+		if !rec.hasFP {
+			continue
+		}
+		x := rankedRecord{rec: rec, dist: r.Distance(rec.fp)}
+		if len(top) == max && cmpRanked(x, top[max-1]) > 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(top, x, cmpRanked)
+		if top = slices.Insert(top, i, x); len(top) > max {
+			top = top[:max]
+		}
+	}
+	return top
+}
+
 // Rank is transfer.Rank over the snapshot: donors ordered by cached
 // fingerprint under transfer.Rank's rule, at most max candidates returned
 // (max <= 0 returns all). Points are read only for the returned donors, in
 // rank order; a donor whose bytes no longer decode, now carry transfer
 // provenance or now hold another key is skipped and the next one read in
-// its place.
+// its place — from the full order, since the one-pass selection kept only
+// the first max.
 func (d *Donors) Rank(probes []core.Point, max int) []transfer.Candidate {
 	r := transfer.NewRanker(probes)
-	ranked := make([]rankedRecord, 0, len(d.recs))
-	for _, rec := range d.recs {
-		if rec.hasFP {
-			ranked = append(ranked, rankedRecord{rec: rec, dist: r.Distance(rec.fp)})
-		}
-	}
-	transfer.SortRanked(ranked, func(x rankedRecord) (float64, string) { return x.dist, x.rec.id })
-	n := len(ranked)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]transfer.Candidate, 0, n)
-	for _, x := range ranked {
-		if max > 0 && len(out) == max {
-			break
-		}
+	ranked, full := d.ranked(r, max), max <= 0
+	out := make([]transfer.Candidate, 0, len(ranked))
+	for i := 0; i < len(ranked) && (max <= 0 || len(out) < max); i++ {
+		x := ranked[i]
 		e, err := d.s.readEntry(x.rec)
 		if err != nil || e.Key != x.rec.key || e.Transfer != "" || len(e.Points) < 2 {
+			if !full {
+				// The full order begins with the buffer, so rank i+1 follows.
+				ranked, full = d.ranked(r, 0), true
+			}
 			continue
 		}
 		out = append(out, transfer.Candidate{Donor: transfer.Donor{ID: x.rec.id, Points: e.Points}, Distance: x.dist})

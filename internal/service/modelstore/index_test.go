@@ -1,11 +1,13 @@
 package modelstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -335,6 +337,133 @@ func TestDonorsSkipsStaleTopDonors(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 4} {
 		if err := sameCandidates(donors.Rank(probes, k), transfer.Rank(pool, probes, k)); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// TestDonorsRankMatchesFullOrder pins Rank's one-pass selection to the
+// full order it selects from — distance, then donor ID, then store order —
+// for every candidate count, on a store of two append files holding exact
+// distance ties and same-ID entries of other precisions. Each count is
+// checked with no stale donor, with the last donor inside the top k gone
+// stale after the snapshot, with the first donor past it, and with both: a
+// stale donor's place goes to the next one in the full order.
+func TestDonorsRankMatchesFullOrder(t *testing.T) {
+	withPrec := func(k Key, minReps int) Key {
+		k.Prec = EncodePrecision(core.Precision{MinReps: minReps, MaxReps: 8, Confidence: 0.95, RelErr: 0.05})
+		return k
+	}
+	tied := shapePoints(2, 1.1, 0) // one curve under several IDs: exact distance ties
+	twin := testKey("twin", "fast")
+	type stored struct {
+		file string
+		e    Entry
+	}
+	entries := []stored{
+		{"b.points", Entry{Key: withPrec(twin, 1), Points: tied}},
+		{"b.points", Entry{Key: testKey("warm", "tie-c"), Points: tied}},
+		{"b.points", Entry{Key: testKey("warm", "knee"), Points: shapePoints(1, 1.3, 600)}},
+		{"b.points", Entry{Key: withPrec(twin, 2), Points: shapePoints(5, 1.2, 0)}},
+		{"a.points", Entry{Key: testKey("warm", "tie-b"), Points: tied}},
+		{"a.points", Entry{Key: twin, Points: tied}},
+		{"a.points", Entry{Key: testKey("warm", "flat"), Points: shapePoints(3, 1.0, 0)}},
+		{"a.points", Entry{Key: withPrec(twin, 4), Points: tied}},
+		{"a.points", Entry{Key: testKey("warm", "tie-a"), Points: tied}},
+		{"a.points", Entry{Key: testKey("warm", "steep"), Points: shapePoints(1, 1.25, 0)}},
+	}
+	keys := make(map[Key]bool)
+	for _, st := range entries {
+		if keys[st.e.Key] {
+			t.Fatalf("%s is written twice: each entry must be live", st.e.Key.id())
+		}
+		keys[st.e.Key] = true
+	}
+	// open writes the entries into a fresh store, so no scenario's damage
+	// outlives it.
+	open := func() *Store {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range []string{"a.points", "b.points"} {
+			var in []Entry
+			for _, st := range entries {
+				if st.file == file {
+					in = append(in, st.e)
+				}
+			}
+			writeExternal(t, s, file, in...)
+		}
+		return s
+	}
+	// spoil overwrites the middle of k's entry in place, so it no longer
+	// decodes and nothing else in its file moves.
+	spoil := func(s *Store, k Key) {
+		r := liveRecord(t, s, k)
+		f, err := os.OpenFile(filepath.Join(s.Dir(), r.name), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte("@@@@"), r.off+r.n/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	self := testKey("cold", "new-device")
+	n := len(entries)
+	for pi, probes := range indexProbes {
+		// The full order, worked out from what was written: files by name,
+		// entries in the order written.
+		r := transfer.NewRanker(probes)
+		dist := func(st stored) float64 {
+			fp, err := transfer.FingerprintPoints(st.e.Points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Distance(fp)
+		}
+		full := slices.Clone(entries)
+		slices.SortStableFunc(full, func(a, b stored) int {
+			if c := cmp.Compare(dist(a), dist(b)); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(DonorID(a.e.Key), DonorID(b.e.Key)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.file, b.file) // same file: written order, kept by the stable sort
+		})
+		for k := 0; k <= n+1; k++ {
+			for _, stale := range [][]int{nil, {k - 1}, {k}, {k - 1, k}} {
+				if k == 0 && stale != nil || slices.Contains(stale, n) || slices.Contains(stale, n+1) {
+					continue
+				}
+				s := open()
+				donors, err := s.Donors(self)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []transfer.Candidate
+				for i, st := range full {
+					if slices.Contains(stale, i) {
+						spoil(s, st.e.Key)
+						continue
+					}
+					want = append(want, transfer.Candidate{Donor: transfer.Donor{ID: DonorID(st.e.Key), Points: st.e.Points}})
+				}
+				if k > 0 && len(want) > k {
+					want = want[:k]
+				}
+				got := donors.Rank(probes, k)
+				if len(got) != len(want) {
+					t.Fatalf("probes %d, k=%d, stale %v: %d candidates, want %d", pi, k, stale, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Donor.ID != want[i].Donor.ID || !reflect.DeepEqual(got[i].Donor.Points, want[i].Donor.Points) {
+						t.Fatalf("probes %d, k=%d, stale %v: candidate %d is %s, want %s (or its points differ)",
+							pi, k, stale, i, got[i].Donor.ID, want[i].Donor.ID)
+					}
+				}
+			}
 		}
 	}
 }

@@ -27,6 +27,7 @@
 package transfer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -192,7 +193,9 @@ func Rank(donors []Donor, probes []core.Point, max int) []Candidate {
 		}
 		out = append(out, Candidate{Donor: d, Distance: r.Distance(dfp)})
 	}
-	SortRanked(out, func(c Candidate) (float64, string) { return c.Distance, c.Donor.ID })
+	slices.SortStableFunc(out, func(a, b Candidate) int {
+		return CompareRanked(a.Distance, a.Donor.ID, b.Distance, b.Donor.ID)
+	})
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
@@ -201,8 +204,8 @@ func Rank(donors []Donor, probes []core.Point, max int) []Candidate {
 
 // Ranker is the distance half of Rank's order for one probe set. A caller
 // holding cached donor fingerprints (the model store's donor index) ranks
-// through it and SortRanked exactly as Rank does, without re-fingerprinting
-// any curve.
+// through it and CompareRanked exactly as Rank does, without
+// re-fingerprinting any curve.
 type Ranker struct {
 	probe Fingerprint
 	ok    bool // the probes have a shape; otherwise every distance is 0
@@ -224,21 +227,14 @@ func (r Ranker) Distance(donor Fingerprint) float64 {
 	return r.probe.Distance(donor)
 }
 
-// SortRanked sorts items into Rank's order: nearest first, ties broken by
-// donor ID, full ties kept in input order. key returns an item's distance
-// and donor ID.
-func SortRanked[T any](items []T, key func(T) (float64, string)) {
-	slices.SortStableFunc(items, func(a, b T) int {
-		da, ida := key(a)
-		db, idb := key(b)
-		if da != db {
-			if da < db {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(ida, idb)
-	})
+// CompareRanked is Rank's order on (distance, donor ID) pairs: nearest
+// first, ties broken by donor ID. Rank keeps full ties in input order. The
+// order is total: a NaN distance, which no finite curve gives, sorts first.
+func CompareRanked(da float64, ida string, db float64, idb string) int {
+	if c := cmp.Compare(da, db); c != 0 {
+		return c
+	}
+	return strings.Compare(ida, idb)
 }
 
 // Pool adapts a fixed donor slice into a DonorSource: rank by fingerprint
