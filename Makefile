@@ -62,11 +62,13 @@ service:
 	$(GO) test -race -count=1 ./internal/service/... ./cmd/fupermod-serve
 
 ## route: vet + race-test the consistent-hash ring and the routing tier
-## CLI end to end (-count=1: the failover tests kill a live backend mid-
-## storm; a cached pass would not exercise the race)
+## CLI end to end over real backends, then, ten times over, the failover
+## storm that kills one of two backends sharing a store mid-storm (-count=1
+## first: a cached pass would not exercise the race)
 route:
 	$(GO) vet ./internal/service/ring ./cmd/fupermod-route
 	$(GO) test -race -count=1 ./internal/service/ring ./cmd/fupermod-route
+	$(GO) test -race -count=10 -run 'TestRouteSpreadsAndStaysByteIdentical' ./cmd/fupermod-route
 
 ## rebalance: vet + race-test the migration planner and the elastic
 ## repartitioning layer above it (-count=1: the elastic strategy tests
@@ -102,8 +104,8 @@ store:
 ## the matpart package (DP oracle, enum cross-check, grid discretisation),
 ## the diff-matpart differential battery in internal/verify, and the
 ## /v1/matpart serving + CLI wiring incl. the cross-replica battery
-## (-count=1: the battery asserts byte identity across live shard
-## topologies, which a cached pass would not exercise)
+## (-count=1: the battery asserts byte identity across live fleets of 1, 2
+## and 4 servers on one store, which a cached pass would not exercise)
 matpart:
 	$(GO) vet ./internal/matpart
 	$(GO) test -race -count=1 ./internal/matpart

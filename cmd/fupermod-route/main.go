@@ -1,9 +1,11 @@
 // Command fupermod-route is a stateless routing tier in front of a fleet
-// of fupermod-serve processes. It spreads tenants across backends with the
-// same consistent-hash ring the service uses to spread tenants across its
-// in-process shards, so a tenant's requests always land on the one backend
-// that holds its models — the property that keeps per-tenant caches,
-// quotas and batches exact across a fleet.
+// of fupermod-serve processes, and the way the service scales out: each
+// process is one serving core, and N of them on one -store-dir behind the
+// router share their measurements through the store. The router spreads
+// tenants across backends with a consistent-hash ring (package ring), so a
+// tenant's requests always land on the one backend that holds its models —
+// the property that keeps per-tenant caches, quotas and batches exact
+// across a fleet.
 //
 // Backends are health-checked (GET /healthz) on a fixed interval and, in
 // addition, marked dead the moment a forward fails to connect; a dead
@@ -179,8 +181,7 @@ func (rt *router) handleForward(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats fans /stats out to every live backend and merges the
-// snapshots into one fleet view (per-shard breakdowns are per-process and
-// are dropped by the merge).
+// snapshots into one fleet view.
 func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")

@@ -124,6 +124,9 @@ func startRouteInterval(t *testing.T, interval string, backends ...string) strin
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, args, &out) }()
 	t.Cleanup(func() {
+		// Connections a request storm dialled but never used would hold
+		// the router's drain for its ReadHeaderTimeout; drop them first.
+		http.DefaultClient.CloseIdleConnections()
 		cancel()
 		select {
 		case err := <-done:
@@ -147,10 +150,16 @@ func startRouteInterval(t *testing.T, interval string, backends ...string) strin
 }
 
 // TestRouteSpreadsAndStaysByteIdentical is the cross-process differential:
-// a fleet of two real backends behind the router serves a mixed-tenant
-// corpus byte-identically to one reference server handling everything —
-// and when a backend dies mid-fleet, the survivors keep every answer
-// byte-identical while the router fails its tenants over.
+// a fleet of two real backends on one store directory behind the router
+// serves a mixed-tenant corpus byte-identically to one reference server
+// handling everything. Then one backend dies in the middle of a request
+// storm, and the failover contract holds:
+//
+//   - zero wrong bytes: every answer, during the storm and after it, is
+//     the reference bytes or a 503 (an in-flight casualty of the kill);
+//   - after the storm every tenant gets the reference bytes;
+//   - failover costs zero re-sweeps: the survivor serves the dead
+//     backend's tenants from the shared store, so its sweeps do not move.
 func TestRouteSpreadsAndStaysByteIdentical(t *testing.T) {
 	grid := service.Grid{Lo: 16, Hi: 2000, N: 8}
 	corpus := make([]service.PartitionRequest, 16)
@@ -173,8 +182,9 @@ func TestRouteSpreadsAndStaysByteIdentical(t *testing.T) {
 		want[i] = body
 	}
 
-	b1 := newBackend(t, service.Config{Workers: 2})
-	b2 := newBackend(t, service.Config{Workers: 2})
+	dir := t.TempDir()
+	b1 := newBackend(t, service.Config{Workers: 2, StoreDir: dir})
+	b2 := newBackend(t, service.Config{Workers: 2, StoreDir: dir})
 	route := startRoute(t, b1.URL, b2.URL)
 
 	resp, err := http.Get(route + "/healthz")
@@ -217,10 +227,46 @@ func TestRouteSpreadsAndStaysByteIdentical(t *testing.T) {
 		t.Errorf("merged workers %d != %d + %d", merged.Workers, s1.Workers, s2.Workers)
 	}
 
-	// Kill one backend process outright: its tenants re-walk the ring to
-	// the survivor on first touch, and every byte stays identical (the
-	// sweep is deterministic wherever it runs).
+	// Kill one backend once a fifth of a storm is provably in flight: its
+	// tenants re-walk the ring to the survivor, and the rest of the storm
+	// races the failover.
+	const stormN = 50
+	began := make(chan struct{}, stormN)
+	type result struct {
+		idx    int
+		status int
+		body   []byte
+	}
+	results := make(chan result, stormN)
+	var wg sync.WaitGroup
+	for i := 0; i < stormN; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			began <- struct{}{}
+			idx := i % len(corpus)
+			status, body := postJSON(t, route+"/v1/partition", corpus[idx])
+			results <- result{idx, status, body}
+		}(i)
+	}
+	for i := 0; i < stormN/5; i++ {
+		<-began
+	}
 	b1.Close()
+	wg.Wait()
+	close(results)
+	casualties := 0
+	for r := range results {
+		switch {
+		case r.status == http.StatusServiceUnavailable:
+			casualties++
+		case r.status != 200:
+			t.Errorf("storm %s: status %d (want 200 or 503): %s", corpus[r.idx].Tenant, r.status, r.body)
+		case !bytes.Equal(r.body, want[r.idx]):
+			t.Errorf("storm %s differs from the reference server", corpus[r.idx].Tenant)
+		}
+	}
+	t.Logf("storm: %d/%d requests were in-flight casualties (503)", casualties, stormN)
 	for i, req := range corpus {
 		status, body := postJSON(t, route+"/v1/partition", req)
 		if status != 200 {
@@ -229,6 +275,9 @@ func TestRouteSpreadsAndStaysByteIdentical(t *testing.T) {
 		if !bytes.Equal(body, want[i]) {
 			t.Errorf("post-failover %s differs from the reference server", req.Tenant)
 		}
+	}
+	if after := getStats(t, b2.URL); after.Sweeps != s2.Sweeps {
+		t.Errorf("failover re-swept: survivor sweeps %d → %d (want unchanged)", s2.Sweeps, after.Sweeps)
 	}
 
 	// The router noticed: /healthz reports one live backend.

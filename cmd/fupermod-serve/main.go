@@ -11,14 +11,17 @@
 // warm models with zero re-sweeps. With -quota-slots a weighted fair
 // admission quota bounds each tenant's concurrently in-flight sweeps
 // (excess requests get 429 + Retry-After); per-tenant weights are set with
-// repeatable -quota-weight tenant=w flags. With -shards N the process hosts
-// N serving shards and spreads tenants over them by consistent hashing —
-// the same ring cmd/fupermod-route uses to spread tenants across whole
-// processes. With -transfer (off by default, requires -store-dir) a cold
-// key is warm-started from the store's nearest-fingerprint donor curve via
-// a small active-sampling probe loop instead of a full sweep; when no
-// stored curve matches, the server falls back to the full sweep and serves
-// byte-identical answers to a transfer-off server.
+// repeatable -quota-weight tenant=w flags. With -transfer (off by default,
+// requires -store-dir) a cold key is warm-started from the store's
+// nearest-fingerprint donor curve via a small active-sampling probe loop
+// instead of a full sweep; when no stored curve matches, the server falls
+// back to the full sweep and serves byte-identical answers to a
+// transfer-off server.
+//
+// A process is one serving core. To scale out, run N fupermod-serve
+// processes on one -store-dir behind cmd/fupermod-route, which spreads
+// tenants over them with a consistent-hash ring; the shared store lets
+// each process reuse the others' sweeps.
 //
 // Usage:
 //
@@ -81,7 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		addr            = fs.String("addr", "127.0.0.1:8080", "listen address")
 		workers         = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for sweeps, fits and solves")
 		cacheSize       = fs.Int("cache-size", service.DefaultCacheSize, "fitted models kept per tenant (LRU)")
-		shards          = fs.Int("shards", 1, "in-process shards tenants are spread over (consistent hashing)")
 		batchWindow     = fs.Duration("batch-window", service.DefaultBatchWindow, "window for batching identical partition requests")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT")
 		storeDir        = fs.String("store-dir", "", "directory of the on-disk model store (empty disables persistence)")
@@ -125,9 +127,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *batchWindow <= 0 {
 		return fmt.Errorf("-batch-window must be positive, got %s", *batchWindow)
 	}
-	if *shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
-	}
 	if *quotaSlots < 0 {
 		return fmt.Errorf("-quota-slots must be non-negative, got %d", *quotaSlots)
 	}
@@ -151,7 +150,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	svc, err := service.New(service.Config{
 		Workers:        *workers,
-		Shards:         *shards,
 		CacheSize:      *cacheSize,
 		BatchWindow:    *batchWindow,
 		StoreDir:       *storeDir,

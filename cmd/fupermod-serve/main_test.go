@@ -47,8 +47,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-batch-window", "0s"},
 		{"-batch-window", "-1ms"},
 		{"-quota-slots", "-1"},
-		{"-shards", "0"},
-		{"-shards", "-2"},
 		{"-quota-weight", "team-a=2"},                      // weight without -quota-slots
 		{"-quota-slots", "1", "-quota-weight", "team-a"},   // missing =w
 		{"-quota-slots", "1", "-quota-weight", "team-a=0"}, // weight < 1
@@ -80,7 +78,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	var out syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2", "-shards", "2"}, &out)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2"}, &out)
 	}()
 
 	// Wait for the listen line to learn the port.

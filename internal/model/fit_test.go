@@ -59,6 +59,9 @@ func modelState(m core.Model, probes []float64) string {
 	}
 	for _, x := range probes {
 		eval("Time", m.Time, x)
+		if pw, ok := m.(*Piecewise); ok {
+			eval("TimeRef", pw.TimeRef, x)
+		}
 		if dm, ok := m.(deriver); ok {
 			eval("Deriv", dm.Deriv, x)
 		}
@@ -68,7 +71,9 @@ func modelState(m core.Model, probes []float64) string {
 
 // diffFit builds a model of kind twice: start through Update, then pts
 // once through core.UpdateAll and once through a plain Update loop. It
-// returns where the two differ — error or state — or "".
+// returns where the two differ — error or state — or where a method of
+// either panics, or "". A failed Update or fit leaves a model that must
+// still answer, if only with an error.
 func diffFit(kind string, start, pts []core.Point) string {
 	seq, _ := New(kind)
 	bulk, _ := New(kind)
@@ -87,6 +92,9 @@ func diffFit(kind string, start, pts []core.Point) string {
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			return fmt.Sprintf("%s: UpdateAll gives %q, Update loop %q", kind, got[i:min(i+1, len(got))], want[i])
+		}
+		if strings.Contains(want[i], " panics: ") {
+			return fmt.Sprintf("%s: %s", kind, want[i])
 		}
 	}
 	return ""

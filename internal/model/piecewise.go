@@ -90,20 +90,21 @@ func (m *Piecewise) rebuild() error {
 // Time implements core.Model. Below the first measured size the time
 // function is the line from the origin through the first point (constant
 // speed); beyond the last it continues with the slope of the final segment.
+// A model without an interpolant — one knot, or a rebuild that failed
+// because two sizes rounded to one float64 knot — stays on the origin line.
 //
 // Evaluation goes through interp.Linear's memoized segment lookup — the
 // solvers probe the model in monotone bisection sequences, so consecutive
 // calls nearly always hit the cached segment. TimeRef keeps the plain
 // binary-search path; TestPiecewiseTimeMatchesRef pins their equality.
 func (m *Piecewise) Time(x float64) (float64, error) {
-	n := len(m.coarseD)
-	if n == 0 {
+	if len(m.coarseD) == 0 {
 		return 0, core.ErrEmptyModel
 	}
 	if x < 0 {
 		return 0, fmt.Errorf("model: time undefined at negative size %g", x)
 	}
-	if x <= m.coarseD[0] || n == 1 {
+	if x <= m.coarseD[0] || m.itp == nil {
 		return m.coarseT[0] * x / m.coarseD[0], nil
 	}
 	return m.itp.At(x), nil
@@ -113,14 +114,13 @@ func (m *Piecewise) Time(x float64) (float64, error) {
 // unmemoized reference segment search (interp.Linear.AtRef) — the kept
 // reference implementation the fast path is equivalence-tested against.
 func (m *Piecewise) TimeRef(x float64) (float64, error) {
-	n := len(m.coarseD)
-	if n == 0 {
+	if len(m.coarseD) == 0 {
 		return 0, core.ErrEmptyModel
 	}
 	if x < 0 {
 		return 0, fmt.Errorf("model: time undefined at negative size %g", x)
 	}
-	if x <= m.coarseD[0] || n == 1 {
+	if x <= m.coarseD[0] || m.itp == nil {
 		return m.coarseT[0] * x / m.coarseD[0], nil
 	}
 	return m.itp.AtRef(x), nil

@@ -79,7 +79,7 @@ func (c *call[T]) run(f func() (T, error)) (T, error) {
 	return c.val, c.err
 }
 
-// wait blocks until the call is published or ctx (a shard's life) ends.
+// wait blocks until the call is published or ctx (the server's life) ends.
 func (c *call[T]) wait(ctx context.Context) (T, error) {
 	select {
 	case <-c.done:
@@ -123,36 +123,36 @@ func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commT
 // it registers the batch, sleeps out the window while followers join, then
 // invokes run exactly once and publishes the result to everyone, a
 // panicking run's as its error.
-func (sh *shard) batched(key string, run func() (any, error)) (any, error) {
-	if sh.batchWindow <= 0 {
+func (s *Server) batched(key string, run func() (any, error)) (any, error) {
+	if s.batchWindow <= 0 {
 		return run()
 	}
-	window := sh.window.observe(time.Now())
-	sh.batchMu.Lock()
-	if c, ok := sh.batches[key]; ok {
-		sh.batchMu.Unlock()
-		sh.stats.BatchJoined.Add(1)
-		return c.wait(sh.ctx)
+	window := s.window.observe(time.Now())
+	s.batchMu.Lock()
+	if c, ok := s.batches[key]; ok {
+		s.batchMu.Unlock()
+		s.stats.BatchJoined.Add(1)
+		return c.wait(s.ctx)
 	}
 	if window <= 0 {
 		// Idle traffic: nobody will join within any window, so don't make
 		// this request pay one. In-flight batches are still joined above.
-		sh.batchMu.Unlock()
-		sh.stats.BatchWindowSkips.Add(1)
+		s.batchMu.Unlock()
+		s.stats.BatchWindowSkips.Add(1)
 		return run()
 	}
 	c := newCall[any]()
-	sh.batches[key] = c
-	sh.batchMu.Unlock()
+	s.batches[key] = c
+	s.batchMu.Unlock()
 
 	// Leader: let followers pile on for one window, then close the batch
 	// to new joiners *before* running so late arrivals start a fresh one.
 	select {
 	case <-time.After(window):
-	case <-sh.ctx.Done():
+	case <-s.ctx.Done():
 	}
-	sh.batchMu.Lock()
-	delete(sh.batches, key)
-	sh.batchMu.Unlock()
+	s.batchMu.Lock()
+	delete(s.batches, key)
+	s.batchMu.Unlock()
 	return c.run(run)
 }

@@ -11,7 +11,7 @@ import (
 
 // TestBatchedPanicWakesFollowers: a batch leader whose run panics must
 // still publish the batch. Every follower that joined it returns the
-// recovered panic as an error instead of blocking until the shard shuts
+// recovered panic as an error instead of blocking until the server shuts
 // down.
 func TestBatchedPanicWakesFollowers(t *testing.T) {
 	svc, err := New(Config{BatchWindow: 500 * time.Millisecond})
@@ -19,22 +19,18 @@ func TestBatchedPanicWakesFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	sh, err := svc.shardFor("panicky")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const key, followers = "test|panicking-run", 4
 	run := func() (any, error) { panic("boom") }
 	errs := make(chan error, followers+1)
-	go func() { errs <- batchedRecovering(sh, key, run) }()
+	go func() { errs <- batchedRecovering(svc, key, run) }()
 
 	// Followers join once the leader has registered the batch and is
 	// sleeping out its window.
 	registered := time.After(5 * time.Second)
 	for {
-		sh.batchMu.Lock()
-		_, ok := sh.batches[key]
-		sh.batchMu.Unlock()
+		svc.batchMu.Lock()
+		_, ok := svc.batches[key]
+		svc.batchMu.Unlock()
 		if ok {
 			break
 		}
@@ -45,7 +41,7 @@ func TestBatchedPanicWakesFollowers(t *testing.T) {
 		}
 	}
 	for i := 0; i < followers; i++ {
-		go func() { errs <- batchedRecovering(sh, key, run) }()
+		go func() { errs <- batchedRecovering(svc, key, run) }()
 	}
 
 	deadline := time.After(5 * time.Second)
@@ -60,21 +56,21 @@ func TestBatchedPanicWakesFollowers(t *testing.T) {
 				followers+1-i, followers+1)
 		}
 	}
-	if joined := sh.stats.BatchJoined.Load(); joined != followers {
+	if joined := svc.stats.BatchJoined.Load(); joined != followers {
 		t.Errorf("%d callers joined the batch, want %d", joined, followers)
 	}
 }
 
-// batchedRecovering calls sh.batched and turns a panic that escapes it into
+// batchedRecovering calls s.batched and turns a panic that escapes it into
 // an error, so an uncontained leader panic fails the test instead of
 // crashing the test binary.
-func batchedRecovering(sh *shard, key string, run func() (any, error)) (err error) {
+func batchedRecovering(s *Server, key string, run func() (any, error)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("escaped panic: %v", r)
 		}
 	}()
-	_, err = sh.batched(key, run)
+	_, err = s.batched(key, run)
 	return err
 }
 

@@ -53,7 +53,7 @@ type entry struct {
 }
 
 // tenantCache is one tenant's LRU-bounded model cache. It is guarded by
-// the shard's cache mutex, not its own: eviction decisions and
+// the server's cache mutex, not its own: eviction decisions and
 // single-flight registration are a few map/list operations, so one lock
 // keeps the invariants simple and uncontended next to sweep costs.
 type tenantCache struct {
@@ -71,72 +71,72 @@ func newTenantCache(max int) *tenantCache {
 // requests for the same key are deduplicated: exactly one performs the
 // sweep, the rest wait for it (single-flight). Failed fills, a panicking
 // one included, are removed from the cache so a later request can retry.
-// Waiters deliberately observe the shard's lifetime, not their own request
+// Waiters deliberately observe the server's lifetime, not their own request
 // context: the fill belongs to the cache, not to any single client, so a
 // client disconnecting never poisons the entry for the others.
-func (sh *shard) getModel(tenant string, key ModelKey) (core.Model, []core.Point, error) {
-	sh.mu.Lock()
-	tc := sh.tenantCacheLocked(tenant)
+func (s *Server) getModel(tenant string, key ModelKey) (core.Model, []core.Point, error) {
+	s.mu.Lock()
+	tc := s.tenantCacheLocked(tenant)
 	if e, ok := tc.entries[key]; ok {
 		tc.order.MoveToFront(e.elem)
 		select {
 		case <-e.done:
-			sh.stats.CacheHits.Add(1)
+			s.stats.CacheHits.Add(1)
 		default:
-			sh.stats.CacheCoalesced.Add(1)
+			s.stats.CacheCoalesced.Add(1)
 		}
-		sh.mu.Unlock()
-		f, err := e.wait(sh.ctx)
+		s.mu.Unlock()
+		f, err := e.wait(s.ctx)
 		return f.model, f.points, err
 	}
 	// Admission control happens exactly here: a miss commits the tenant to
 	// a fill — the expensive, pool-occupying operation the quota meters.
 	// Hits and coalesced waits above are deliberately exempt.
-	if !sh.quota.acquire(tenant) {
-		sh.mu.Unlock()
-		return nil, nil, sh.rejectQuota(tenant)
+	if !s.quota.acquire(tenant) {
+		s.mu.Unlock()
+		return nil, nil, s.rejectQuota(tenant)
 	}
-	sh.stats.CacheMisses.Add(1)
+	s.stats.CacheMisses.Add(1)
 	e := &entry{call: newCall[fitted](), key: key}
 	e.elem = tc.order.PushFront(e)
 	tc.entries[key] = e
-	sh.evictOverLocked(tc)
-	sh.mu.Unlock()
+	s.evictOverLocked(tc)
+	s.mu.Unlock()
 
-	f, err := e.run(func() (fitted, error) { return sh.fill(tenant, key) })
-	sh.quota.release(tenant)
+	f, err := e.run(func() (fitted, error) { return s.fill(tenant, key) })
+	s.quota.release(tenant)
 	if err != nil {
 		// Drop the failed entry (if it has not been evicted and replaced
 		// already) so the next identical request retries.
-		sh.mu.Lock()
+		s.mu.Lock()
 		if cur, ok := tc.entries[key]; ok && cur == e {
 			tc.order.Remove(e.elem)
 			delete(tc.entries, key)
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}
 	return f.model, f.points, err
 }
 
 // tenantCacheLocked returns (creating if needed) the tenant's cache.
-// Caller holds sh.mu.
-func (sh *shard) tenantCacheLocked(tenant string) *tenantCache {
-	tc, ok := sh.tenants[tenant]
+// Caller holds s.mu.
+func (s *Server) tenantCacheLocked(tenant string) *tenantCache {
+	tc, ok := s.tenants[tenant]
 	if !ok {
-		tc = newTenantCache(sh.cacheSize)
-		sh.tenants[tenant] = tc
+		tc = newTenantCache(s.cacheSize)
+		s.tenants[tenant] = tc
 	}
 	return tc
 }
 
-// evictOverLocked applies the LRU bound. Caller holds sh.mu.
-func (sh *shard) evictOverLocked(tc *tenantCache) {
+// evictOverLocked applies the LRU bound. Caller holds s.mu.
+func (s *Server) evictOverLocked(tc *tenantCache) {
 	for tc.order.Len() > tc.max {
 		oldest := tc.order.Back()
 		victim := oldest.Value.(*entry)
 		tc.order.Remove(oldest)
 		delete(tc.entries, victim.key)
-		sh.stats.CacheEvictions.Add(1)
+		s.stats.CacheEvictions.Add(1)
 	}
 }
 
@@ -146,25 +146,25 @@ func (sh *shard) evictOverLocked(tc *tenantCache) {
 // sweep is servable when its device can no longer be resolved (a machine
 // file not yet re-uploaded after a restart) — and a miss sweeps exactly
 // once per key across every replica sharing the store, each one mapping
-// the outcome onto its own counters. Storeless shards sweep directly; the
-// cache-entry single-flight already deduplicates within the shard.
-func (sh *shard) fill(tenant string, key ModelKey) (fitted, error) {
+// the outcome onto its own counters. Storeless servers sweep directly; the
+// cache-entry single-flight already deduplicates within the server.
+func (s *Server) fill(tenant string, key ModelKey) (fitted, error) {
 	sizes := core.LogSizes(key.Lo, key.Hi, key.N)
 	if len(sizes) == 0 {
 		return fitted{}, fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", key.Lo, key.Hi, key.N)
 	}
-	sk, stored := sh.storeKey(tenant, key)
+	sk, stored := s.storeKey(tenant, key)
 	if stored {
-		ent, info, err := sh.store.FillProv(sh.ctx, sk, func() (modelstore.Swept, error) {
-			if sh.transfer {
-				return sh.acquireKey(tenant, key, sizes, sk)
+		ent, info, err := s.store.FillProv(s.ctx, sk, func() (modelstore.Swept, error) {
+			if s.transfer {
+				return s.acquireKey(tenant, key, sizes, sk)
 			}
-			return sh.sweptKey(tenant, key, sizes)
+			return s.sweptKey(tenant, key, sizes)
 		})
 		if info.Corrupt {
 			// Torn or damaged file: the flight re-swept and the spill healed
 			// the entry.
-			sh.stats.StoreCorrupt.Add(1)
+			s.stats.StoreCorrupt.Add(1)
 		}
 		if err != nil {
 			return fitted{}, err
@@ -173,14 +173,14 @@ func (sh *shard) fill(tenant string, key ModelKey) (fitted, error) {
 		if ferr == nil {
 			switch info.Source {
 			case modelstore.SourceDisk:
-				sh.stats.StoreHits.Add(1)
+				s.stats.StoreHits.Add(1)
 			case modelstore.SourceSwept:
 				// Write-behind spill: failures keep the in-memory entry valid
 				// and are only counted — durability is best-effort per fill.
 				if info.PutErr != nil {
-					sh.stats.StoreErrors.Add(1)
+					s.stats.StoreErrors.Add(1)
 				} else {
-					sh.stats.StoreSpills.Add(1)
+					s.stats.StoreSpills.Add(1)
 				}
 			case modelstore.SourceJoined:
 				// Another replica's sweep answered us: nothing of ours to
@@ -194,7 +194,7 @@ func (sh *shard) fill(tenant string, key ModelKey) (fitted, error) {
 		// A disk entry this model kind cannot be fitted to: fall through to
 		// a clean local sweep; the spill below replaces the entry.
 	}
-	kernel, pts, err := sh.sweepKey(tenant, key, sizes)
+	kernel, pts, err := s.sweepKey(tenant, key, sizes)
 	if err != nil {
 		return fitted{}, err
 	}
@@ -203,10 +203,10 @@ func (sh *shard) fill(tenant string, key ModelKey) (fitted, error) {
 		return fitted{}, err
 	}
 	if stored {
-		if err := sh.store.Put(sk, kernel, pts); err != nil {
-			sh.stats.StoreErrors.Add(1)
+		if err := s.store.Put(sk, kernel, pts); err != nil {
+			s.stats.StoreErrors.Add(1)
 		} else {
-			sh.stats.StoreSpills.Add(1)
+			s.stats.StoreSpills.Add(1)
 		}
 	}
 	return fitted{m, pts}, nil
@@ -219,8 +219,8 @@ func (sh *shard) fill(tenant string, key ModelKey) (fitted, error) {
 // deterministic for a given key — the property that makes cache entries
 // reproducible, disk-store spills replayable, and service responses
 // byte-identical to the direct library path on every replica.
-func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (string, []core.Point, error) {
-	dev, err := sh.resolveDevice(tenant, key.Device)
+func (s *Server) sweepKey(tenant string, key ModelKey, sizes []int) (string, []core.Point, error) {
+	dev, err := s.resolveDevice(tenant, key.Device)
 	if err != nil {
 		return "", nil, err
 	}
@@ -230,13 +230,13 @@ func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (string, []c
 		return "", nil, err
 	}
 	var pts []core.Point
-	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-		sh.stats.Sweeps.Add(1)
+	err = pool.Do(s.ctx, s.pool, func(context.Context) error {
+		s.stats.Sweeps.Add(1)
 		start := time.Now()
 		var serr error
-		pts, serr = core.Sweep(k, sizes, sh.precision)
-		sh.stats.sweepNanos.Add(int64(time.Since(start)))
-		sh.stats.sweepsDone.Add(1)
+		pts, serr = core.Sweep(k, sizes, s.precision)
+		s.stats.sweepNanos.Add(int64(time.Since(start)))
+		s.stats.sweepsDone.Add(1)
 		return serr
 	})
 	if err != nil {
@@ -246,11 +246,11 @@ func (sh *shard) sweepKey(tenant string, key ModelKey, sizes []int) (string, []c
 }
 
 // storeKey maps an in-memory cache key to its disk-store key; ok is false
-// when the shard runs without a store. The model kind is dropped — the
-// stored artefact is the measurement — and the shard's sweep precision is
+// when the server runs without a store. The model kind is dropped — the
+// stored artefact is the measurement — and the server's sweep precision is
 // folded in, so servers with different stopping rules never share entries.
-func (sh *shard) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
-	if sh.store == nil {
+func (s *Server) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
+	if s.store == nil {
 		return modelstore.Key{}, false
 	}
 	return modelstore.Key{
@@ -259,7 +259,7 @@ func (sh *shard) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
 		Seed:   key.Seed,
 		Noise:  key.Noise,
 		Lo:     key.Lo, Hi: key.Hi, N: key.N,
-		Prec: modelstore.EncodePrecision(sh.precision),
+		Prec: modelstore.EncodePrecision(s.precision),
 	}, true
 }
 

@@ -20,16 +20,12 @@ func TestFillPanicReleasesKey(t *testing.T) {
 	}
 	t.Cleanup(svc.Close)
 	const tenant = "panicky"
-	sh, err := svc.shardFor(tenant)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// An uploaded machine whose only device is nil: its ref resolves, and
 	// measuring it panics.
 	machine := &tenantMachines{current: "nil", byFP: map[string][]platform.Device{"nil": {nil}}}
-	sh.machineMu.Lock()
-	sh.machines[tenant] = machine
-	sh.machineMu.Unlock()
+	svc.machineMu.Lock()
+	svc.machines[tenant] = machine
+	svc.machineMu.Unlock()
 	mkey := func(device string) ModelKey {
 		return ModelKey{Device: device, Seed: 1, Lo: testGrid.Lo, Hi: testGrid.Hi, N: testGrid.N, Model: model.KindPiecewise}
 	}
@@ -67,7 +63,7 @@ func TestFillPanicReleasesKey(t *testing.T) {
 			t.Errorf("lookup %d of a key whose fill panics: %d points, err %v; want the panic as a clean error", i, n, err)
 		}
 	}
-	if misses := sh.stats.counters().CacheMisses; misses != 2 {
+	if misses := svc.stats.counters().CacheMisses; misses != 2 {
 		t.Errorf("two lookups of the key ran %d fills, want 2: a failed fill must not stay cached", misses)
 	}
 	// One quota slot: a slot the panics leaked would make this a 429.
@@ -79,9 +75,9 @@ func TestFillPanicReleasesKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.machineMu.Lock()
+	svc.machineMu.Lock()
 	machine.byFP["nil"] = []platform.Device{dev}
-	sh.machineMu.Unlock()
+	svc.machineMu.Unlock()
 	if n, err := lookup(broken); err != nil || n == 0 {
 		t.Errorf("lookup of the mended key: %d points, err %v", n, err)
 	}

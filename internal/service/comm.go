@@ -57,13 +57,13 @@ func (c *CommSpec) normalize(devices int) (commmodel.Spec, string, error) {
 	return spec, c.Model, nil
 }
 
-// commModel resolves the spec to a fitted comm model through the shard's
+// commModel resolves the spec to a fitted comm model through the server's
 // calibration cache, with single-flight deduplication: concurrent first
 // requests for the same combination trigger exactly one calibration, and
 // a failed one is dropped so the next request retries. The returned tag
 // fingerprints everything that shaped the wrapped models — it goes into
 // the batch key and the response.
-func (sh *shard) commModel(c *CommSpec, devices int) (commmodel.CommModel, string, error) {
+func (s *Server) commModel(c *CommSpec, devices int) (commmodel.CommModel, string, error) {
 	spec, kind, err := c.normalize(devices)
 	if err != nil {
 		return nil, "", err
@@ -71,38 +71,38 @@ func (sh *shard) commModel(c *CommSpec, devices int) (commmodel.CommModel, strin
 	tag := fmt.Sprintf("%s/%s/%s/%d/%g", kind, spec.Op, spec.NetName, spec.Ranks, c.BytesPerUnit)
 	cacheKey := fmt.Sprintf("%s|%s|%s|%d", kind, spec.Op, spec.NetName, spec.Ranks)
 
-	sh.commMu.Lock()
-	if cl, ok := sh.comms[cacheKey]; ok {
-		sh.commMu.Unlock()
-		m, err := cl.wait(sh.ctx)
+	s.commMu.Lock()
+	if cl, ok := s.comms[cacheKey]; ok {
+		s.commMu.Unlock()
+		m, err := cl.wait(s.ctx)
 		return m, tag, err
 	}
 	cl := newCall[commmodel.CommModel]()
-	sh.comms[cacheKey] = cl
-	sh.commMu.Unlock()
-	sh.stats.CommCalibrations.Add(1)
+	s.comms[cacheKey] = cl
+	s.commMu.Unlock()
+	s.stats.CommCalibrations.Add(1)
 	m, err := cl.run(func() (commmodel.CommModel, error) {
-		cal, err := commmodel.Calibrate(sh.ctx, sh.pool, spec, nil, commmodel.DefaultPrecision)
+		cal, err := commmodel.Calibrate(s.ctx, s.pool, spec, nil, commmodel.DefaultPrecision)
 		if err != nil {
 			return nil, err
 		}
 		return cal.Fit(kind, false)
 	})
 	if err != nil {
-		sh.commMu.Lock()
-		delete(sh.comms, cacheKey)
-		sh.commMu.Unlock()
+		s.commMu.Lock()
+		delete(s.comms, cacheKey)
+		s.commMu.Unlock()
 	}
 	return m, tag, err
 }
 
 // commWrap wraps the compute models with the spec's fitted comm model.
 // Without a spec the models pass through untouched with an empty tag.
-func (sh *shard) commWrap(c *CommSpec, models []core.Model) ([]core.Model, string, error) {
+func (s *Server) commWrap(c *CommSpec, models []core.Model) ([]core.Model, string, error) {
 	if c == nil {
 		return models, "", nil
 	}
-	cm, tag, err := sh.commModel(c, len(models))
+	cm, tag, err := s.commModel(c, len(models))
 	if err != nil {
 		return nil, "", err
 	}

@@ -68,16 +68,16 @@ type DynpartResponse struct {
 var dynpartOp = op[DynpartRequest]{
 	name:    "dyn",
 	tenant:  func(r *DynpartRequest) *string { return &r.Tenant },
-	runs:    func(s *shardStats) *atomic.Int64 { return &s.DynpartRuns },
+	runs:    func(s *serverStats) *atomic.Int64 { return &s.DynpartRuns },
 	metered: true,
-	prepare: (*shard).prepareDynpart,
+	prepare: (*Server).prepareDynpart,
 }
 
 // prepareDynpart resolves and canonicalises every device up front: a
 // dynpart run benchmarks real (virtual) devices, so machine refs must be
 // live. The solve benchmarks the kernels serially inside its one pool
 // slot, which keeps the seeded meters deterministic.
-func (sh *shard) prepareDynpart(req *DynpartRequest) (func() (any, error), string, error) {
+func (s *Server) prepareDynpart(req *DynpartRequest) (func() (any, error), string, error) {
 	if err := checkCount("device", len(req.Devices)); err != nil {
 		return nil, "", err
 	}
@@ -102,11 +102,11 @@ func (sh *shard) prepareDynpart(req *DynpartRequest) (func() (any, error), strin
 	}
 	devs := make([]platform.Device, len(req.Devices))
 	for i, spec := range req.Devices {
-		key, err := sh.keyFor(req.Tenant, spec, Grid{Lo: 1, Hi: req.D, N: 1}, req.Model)
+		key, err := s.keyFor(req.Tenant, spec, Grid{Lo: 1, Hi: req.D, N: 1}, req.Model)
 		if err != nil {
 			return nil, "", err
 		}
-		if devs[i], err = sh.resolveDevice(req.Tenant, key.Device); err != nil {
+		if devs[i], err = s.resolveDevice(req.Tenant, key.Device); err != nil {
 			return nil, "", badRequest("device %d (%s): %v", i, spec.Preset, err)
 		}
 		req.Devices[i].Preset = key.Device
@@ -124,7 +124,7 @@ func (sh *shard) prepareDynpart(req *DynpartRequest) (func() (any, error), strin
 		res, err := dynamic.PartitionDynamic(kernelSet, req.D, dynamic.Config{
 			Algorithm: algo,
 			NewModel:  func() core.Model { m, _ := model.New(req.Model); return m },
-			Precision: sh.precision,
+			Precision: s.precision,
 			Eps:       req.Eps,
 			MaxIters:  req.MaxIters,
 		})
@@ -192,13 +192,13 @@ type BalanceResponse struct {
 var balanceOp = op[BalanceRequest]{
 	name:    "bal",
 	tenant:  func(r *BalanceRequest) *string { return &r.Tenant },
-	runs:    func(s *shardStats) *atomic.Int64 { return &s.BalanceRuns },
+	runs:    func(s *serverStats) *atomic.Int64 { return &s.BalanceRuns },
 	prepare: prepareBalance,
 }
 
 // prepareBalance validates a replay. The solve is pure computation: model
 // updates and solver calls.
-func prepareBalance(_ *shard, req *BalanceRequest) (func() (any, error), string, error) {
+func prepareBalance(_ *Server, req *BalanceRequest) (func() (any, error), string, error) {
 	if err := checkCount("process", req.N); err != nil {
 		return nil, "", err
 	}

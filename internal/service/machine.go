@@ -69,8 +69,7 @@ func machineFingerprint(text string) string {
 
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 	var req MachineRequest
-	sh, err := s.route(w, r, &req, &req.Tenant)
-	if err != nil {
+	if err := decode(w, r, &req, &req.Tenant); err != nil {
 		return err
 	}
 	if strings.TrimSpace(req.Machine) == "" {
@@ -87,18 +86,18 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 	tenant := req.Tenant
 	fp := machineFingerprint(req.Machine)
 
-	sh.machineMu.Lock()
-	tm, ok := sh.machines[tenant]
+	s.machineMu.Lock()
+	tm, ok := s.machines[tenant]
 	if !ok {
 		tm = &tenantMachines{byFP: make(map[string][]platform.Device)}
-		sh.machines[tenant] = tm
+		s.machines[tenant] = tm
 	}
 	if _, seen := tm.byFP[fp]; !seen {
 		tm.byFP[fp] = devs
-		sh.stats.MachineUploads.Add(1)
+		s.stats.MachineUploads.Add(1)
 	}
 	tm.current = fp
-	sh.machineMu.Unlock()
+	s.machineMu.Unlock()
 
 	resp := MachineResponse{Tenant: tenant, Fingerprint: fp}
 	nodeOf := m.NodeOf()
@@ -118,7 +117,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) error {
 // syntax is checked — existence is resolved at fill time, so entries
 // persisted on disk stay answerable after a restart even before the
 // machine file is re-uploaded).
-func (sh *shard) canonDevice(tenant, name string) (string, error) {
+func (s *Server) canonDevice(tenant, name string) (string, error) {
 	if !strings.HasPrefix(name, machinePrefix) {
 		return name, nil
 	}
@@ -136,9 +135,9 @@ func (sh *shard) canonDevice(tenant, name string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("device %q: bad rank: %v", name, err)
 	}
-	sh.machineMu.Lock()
-	defer sh.machineMu.Unlock()
-	tm, ok := sh.machines[tenant]
+	s.machineMu.Lock()
+	defer s.machineMu.Unlock()
+	tm, ok := s.machines[tenant]
 	if !ok || tm.current == "" {
 		return "", fmt.Errorf("device %q: tenant %q has no uploaded machine file (POST /v1/machine first)", name, tenant)
 	}
@@ -150,7 +149,7 @@ func (sh *shard) canonDevice(tenant, name string) (string, error) {
 
 // resolveDevice turns a canonical device string into the platform device
 // to measure: a preset, or a device of an uploaded machine file.
-func (sh *shard) resolveDevice(tenant, name string) (platform.Device, error) {
+func (s *Server) resolveDevice(tenant, name string) (platform.Device, error) {
 	if !strings.HasPrefix(name, machinePrefix) {
 		return platform.Preset(name)
 	}
@@ -162,9 +161,9 @@ func (sh *shard) resolveDevice(tenant, name string) (platform.Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: device %q: bad rank: %w", name, err)
 	}
-	sh.machineMu.Lock()
-	defer sh.machineMu.Unlock()
-	tm, ok := sh.machines[tenant]
+	s.machineMu.Lock()
+	defer s.machineMu.Unlock()
+	tm, ok := s.machines[tenant]
 	if !ok {
 		return nil, fmt.Errorf("service: tenant %q has no uploaded machine file for device %q", tenant, name)
 	}

@@ -14,7 +14,7 @@ import (
 // total half-perimeter, i.e. the communication volume of the parallel
 // matrix multiplication. Like /v1/balance and /v1/rebalance the solve is a
 // pure function of the request, so identical requests produce identical
-// bytes on any shard of any replica, and concurrent identical requests
+// bytes on any server of a fleet, and concurrent identical requests
 // batch under the op-prefixed "mat|" key.
 
 // MaxMatpartGrid bounds the optional block-grid side of a matpart request.
@@ -86,13 +86,13 @@ type MatpartResponse struct {
 var matpartOp = op[MatpartRequest]{
 	name:    "mat",
 	tenant:  func(r *MatpartRequest) *string { return &r.Tenant },
-	runs:    func(s *shardStats) *atomic.Int64 { return &s.MatpartRuns },
+	runs:    func(s *serverStats) *atomic.Int64 { return &s.MatpartRuns },
 	prepare: prepareMatpart,
 }
 
 // prepareMatpart validates an arrangement request. The solve is pure
 // computation: one DP plus the grid discretisation.
-func prepareMatpart(_ *shard, req *MatpartRequest) (func() (any, error), string, error) {
+func prepareMatpart(_ *Server, req *MatpartRequest) (func() (any, error), string, error) {
 	if err := checkCount("process", len(req.Areas)); err != nil {
 		return nil, "", err
 	}

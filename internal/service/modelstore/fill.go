@@ -10,9 +10,10 @@ import (
 )
 
 // This file extends the store from a passive spill directory into the
-// coherence point of the sharded serving layer. Replicas (in-process
-// shards, or separate servers pointed at one -store-dir) do not talk to
-// each other; they share sweeps through two mechanisms here:
+// coherence point of a serving fleet. Replicas (servers pointed at one
+// -store-dir, one per process behind fupermod-route, or several in one
+// process) do not talk to each other; they share sweeps through two
+// mechanisms here:
 //
 //   - Open dedupes Store instances per directory, so every replica in a
 //     process holds the *same* handle;
@@ -61,7 +62,7 @@ const (
 )
 
 // FillInfo reports how a Fill was satisfied, for the caller's accounting
-// (the service shards map these onto their /stats counters).
+// (the service maps these onto its /stats counters).
 type FillInfo struct {
 	Source FillSource
 	// Corrupt is set (on the flight leader only) when an existing entry was

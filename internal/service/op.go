@@ -22,31 +22,30 @@ type op[R any] struct {
 	// tenant points at the request's tenant field.
 	tenant func(*R) *string
 	// runs is the op's /stats counter of executed solves.
-	runs func(*shardStats) *atomic.Int64
+	runs func(*serverStats) *atomic.Int64
 	// metered makes the batch leader hold one of the tenant's quota slots
 	// around its pool slot, as a cache fill does: its solve sweeps.
 	metered bool
-	// prepare validates the routed request and normalises it in place
+	// prepare validates the decoded request and normalises it in place
 	// (defaults filled in, device refs canonical), resolving what must not
 	// run inside a pool slot: fitted models, comm calibrations. It returns
 	// the solve, which builds the full response, and the batch key if the
 	// op keys on more than its request; an empty key selects the op name
 	// plus the normalised request's JSON.
-	prepare func(sh *shard, req *R) (solve func() (any, error), key string, err error)
+	prepare func(s *Server, req *R) (solve func() (any, error), key string, err error)
 }
 
-// serve is the solve endpoints' request path: decode, route the tenant to
-// its shard, prepare, batch under the op's key — the leader's solve runs
-// once, in one pool slot, counted — and encode the shared response.
+// serve is the solve endpoints' request path: decode, prepare, batch under
+// the op's key — the leader's solve runs once, in one pool slot, counted —
+// and encode the shared response.
 func serve[R any](s *Server, o op[R]) func(http.ResponseWriter, *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
 		req := new(R)
 		tenant := o.tenant(req)
-		sh, err := s.route(w, r, req, tenant)
-		if err != nil {
+		if err := decode(w, r, req, tenant); err != nil {
 			return err
 		}
-		solve, key, err := o.prepare(sh, req)
+		solve, key, err := o.prepare(s, req)
 		if err != nil {
 			return err
 		}
@@ -57,16 +56,16 @@ func serve[R any](s *Server, o op[R]) func(http.ResponseWriter, *http.Request) e
 			}
 			key = o.name + "|" + string(b)
 		}
-		resp, err := sh.batched(key, func() (any, error) {
+		resp, err := s.batched(key, func() (any, error) {
 			if o.metered {
-				if !sh.quota.acquire(*tenant) {
-					return nil, sh.rejectQuota(*tenant)
+				if !s.quota.acquire(*tenant) {
+					return nil, s.rejectQuota(*tenant)
 				}
-				defer sh.quota.release(*tenant)
+				defer s.quota.release(*tenant)
 			}
 			var resp any
-			err := pool.Do(sh.ctx, sh.pool, func(context.Context) error {
-				o.runs(&sh.stats).Add(1)
+			err := pool.Do(s.ctx, s.pool, func(context.Context) error {
+				o.runs(&s.stats).Add(1)
 				var err error
 				resp, err = solve()
 				return err
@@ -78,16 +77,6 @@ func serve[R any](s *Server, o op[R]) func(http.ResponseWriter, *http.Request) e
 		}
 		return writeJSON(w, resp)
 	}
-}
-
-// route decodes a POST body into req, canonicalises in place the tenant
-// it names (tenant points into req), and returns the tenant's shard.
-func (s *Server) route(w http.ResponseWriter, r *http.Request, req any, tenant *string) (*shard, error) {
-	if err := decode(w, r, req); err != nil {
-		return nil, err
-	}
-	*tenant = TenantOf(*tenant)
-	return s.shardFor(*tenant)
 }
 
 // checkCount bounds a request's device or process count to [1, MaxDevices].

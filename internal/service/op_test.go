@@ -149,19 +149,15 @@ func TestReplayOpsBatchOnNormalisedRequest(t *testing.T) {
 		t.Run(strings.TrimPrefix(o.path, "/v1/"), func(t *testing.T) {
 			t.Parallel()
 			svc, ts := newTestServer(t, Config{BatchWindow: 250 * time.Millisecond})
-			sh, err := svc.shardFor("default")
-			if err != nil {
-				t.Fatal(err)
-			}
 			uploadMachine(t, ts.URL, "team", testMachineText)
 			for _, p := range o.pairs {
 				before := getStats(t, ts.URL)
 				answers := make(chan answer, 2)
 				go postFrom(t, ts.URL+o.path, p.a, answers)
 				waitUntil(t, p.name+": the first request's batch", func() bool {
-					sh.batchMu.Lock()
-					defer sh.batchMu.Unlock()
-					return len(sh.batches) > 0
+					svc.batchMu.Lock()
+					defer svc.batchMu.Unlock()
+					return len(svc.batches) > 0
 				})
 				go postFrom(t, ts.URL+o.path, p.b, answers)
 				a, b := <-answers, <-answers
@@ -190,14 +186,10 @@ func TestReplayOpsBatchOnNormalisedRequest(t *testing.T) {
 func TestDynpartQuotaMetersLeaderOnly(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 1, QuotaSlots: 1, BatchWindow: 500 * time.Millisecond})
 	const tenant, followers = "metered", 3
-	sh, err := svc.shardFor(tenant)
-	if err != nil {
-		t.Fatal(err)
-	}
 	held := func() int {
-		sh.quota.mu.Lock()
-		defer sh.quota.mu.Unlock()
-		return sh.quota.inflight[tenant]
+		svc.quota.mu.Lock()
+		defer svc.quota.mu.Unlock()
+		return svc.quota.inflight[tenant]
 	}
 	// Plug the only worker, so the leader waits for the pool while it
 	// holds its quota slot.
@@ -219,9 +211,9 @@ func TestDynpartQuotaMetersLeaderOnly(t *testing.T) {
 	answers := make(chan answer, followers+1)
 	go postFrom(t, ts.URL+"/v1/dynpart", req, answers) // the leader
 	waitUntil(t, "the leader's batch", func() bool {
-		sh.batchMu.Lock()
-		defer sh.batchMu.Unlock()
-		return len(sh.batches) == 1
+		svc.batchMu.Lock()
+		defer svc.batchMu.Unlock()
+		return len(svc.batches) == 1
 	})
 	for i := 0; i < followers; i++ {
 		go postFrom(t, ts.URL+"/v1/dynpart", req, answers)

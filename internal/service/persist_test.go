@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,6 +104,67 @@ func TestCrashRestartByteIdentical(t *testing.T) {
 	snap2 := getStats(t, ts2.URL)
 	if snap2.Sweeps != 0 {
 		t.Errorf("restarted server swept %d times; a warm store must mean zero re-sweeps", snap2.Sweeps)
+	}
+}
+
+// TestPreloadFitsOnlyWhatTheCacheKeeps: a tenant with more stored entries
+// than its LRU holds restarts with the newest CacheSize of them fitted and
+// nothing evicted, while every entry counts as loaded. The newest keys are
+// cache hits; the oldest, passed over at start, are store hits — all with
+// the first lifetime's bytes and no sweep.
+func TestPreloadFitsOnlyWhatTheCacheKeeps(t *testing.T) {
+	const cacheSize, extra = 4, 3
+	dir := t.TempDir()
+	reqs := make([]MeasureRequest, cacheSize+extra)
+	want := make([][]byte, len(reqs))
+	_, ts1 := newStoreServer(t, dir, Config{CacheSize: cacheSize})
+	for i := range reqs {
+		reqs[i] = MeasureRequest{Tenant: "lru", Device: DeviceSpec{Preset: "fast", Seed: int64(i + 1)}, Grid: testGrid}
+		status, body := postJSON(t, ts1.URL+"/v1/measure", reqs[i])
+		if status != 200 {
+			t.Fatalf("fill %d: status %d: %s", i, status, body)
+		}
+		want[i] = body
+	}
+
+	svc2, ts2 := newStoreServer(t, dir, Config{CacheSize: cacheSize})
+	snap := getStats(t, ts2.URL)
+	if snap.CacheEvictions != 0 || snap.CacheEntries != cacheSize || snap.StoreLoaded != int64(len(reqs)) {
+		t.Fatalf("restart: cache_evictions %d, cache_entries %d, store_loaded %d; want 0, %d, %d",
+			snap.CacheEvictions, snap.CacheEntries, snap.StoreLoaded, cacheSize, len(reqs))
+	}
+	// The LRU runs newest to oldest, as fitting every entry in store order
+	// would leave it.
+	svc2.mu.Lock()
+	var seeds []int64
+	for el := svc2.tenants["lru"].order.Front(); el != nil; el = el.Next() {
+		seeds = append(seeds, el.Value.(*entry).key.Seed)
+	}
+	svc2.mu.Unlock()
+	if want := []int64{7, 6, 5, 4}; !slices.Equal(seeds, want) {
+		t.Errorf("LRU seeds front to back %v, want %v", seeds, want)
+	}
+	serve := func(idx []int) Snapshot {
+		t.Helper()
+		for _, i := range idx {
+			status, body := postJSON(t, ts2.URL+"/v1/measure", reqs[i])
+			if status != 200 {
+				t.Fatalf("key %d: status %d: %s", i, status, body)
+			}
+			if !bytes.Equal(body, want[i]) {
+				t.Errorf("key %d diverges after restart:\n%s\n%s", i, body, want[i])
+			}
+		}
+		return getStats(t, ts2.URL)
+	}
+	newest := serve([]int{3, 4, 5, 6})
+	if newest.CacheHits != cacheSize || newest.StoreHits != 0 || newest.Sweeps != 0 {
+		t.Errorf("newest keys: cache_hits %d, store_hits %d, sweeps %d; want %d, 0, 0",
+			newest.CacheHits, newest.StoreHits, newest.Sweeps, cacheSize)
+	}
+	oldest := serve([]int{0, 1, 2})
+	if oldest.StoreHits != extra || oldest.Sweeps != 0 {
+		t.Errorf("oldest keys: store_hits %d, sweeps %d; want %d, 0", oldest.StoreHits, oldest.Sweeps, extra)
 	}
 }
 

@@ -77,12 +77,12 @@ func (q *quotas) release(tenant string) {
 // rejectQuota builds the 429 a breached tenant receives, records it, and
 // estimates Retry-After from the observed mean sweep duration — the time
 // scale at which an in-flight slot frees up.
-func (sh *shard) rejectQuota(tenant string) error {
-	sh.stats.rejectQuota(tenant)
+func (s *Server) rejectQuota(tenant string) error {
+	s.stats.rejectQuota(tenant)
 	return &httpError{
 		status:     http.StatusTooManyRequests,
 		msg:        "tenant " + tenant + " exceeded its in-flight sweep quota",
-		retryAfter: sh.retryAfterSecs(),
+		retryAfter: s.retryAfterSecs(),
 	}
 }
 
@@ -90,15 +90,15 @@ func (sh *shard) rejectQuota(tenant string) error {
 // seconds, at least 1. The mean divides by *completed* sweeps only:
 // dividing by started sweeps (as this used to) counts every in-flight
 // sweep's zero nanoseconds, biasing the estimate toward the 1s floor
-// exactly when the shard is busiest — the moment the estimate matters.
-func (sh *shard) retryAfterSecs() int {
-	n := sh.stats.sweepsDone.Load()
+// exactly when the server is busiest — the moment the estimate matters.
+func (s *Server) retryAfterSecs() int {
+	n := s.stats.sweepsDone.Load()
 	if n <= 0 {
-		// Nothing has completed yet (cold shard, or every sweep still in
+		// Nothing has completed yet (cold server, or every sweep still in
 		// flight): there is no observed time scale, only the floor.
 		return 1
 	}
-	avg := time.Duration(sh.stats.sweepNanos.Load() / n)
+	avg := time.Duration(s.stats.sweepNanos.Load() / n)
 	secs := int(math.Ceil(avg.Seconds()))
 	if secs < 1 {
 		secs = 1

@@ -179,18 +179,14 @@ func TestQuotaRejectionCarriesRetryAfter(t *testing.T) {
 // the 1s floor exactly when honest backpressure matters most.
 func TestRetryAfterUsesCompletedSweeps(t *testing.T) {
 	svc, _ := newTestServer(t, Config{Workers: 1})
-	sh, err := svc.shardFor("anyone")
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// A cold shard — or one whose every sweep is still in flight — has no
+	// A cold server — or one whose every sweep is still in flight — has no
 	// observed time scale; the floor is all it can honestly promise.
-	if got := sh.retryAfterSecs(); got != 1 {
-		t.Errorf("cold shard: retry after %ds, want the 1s floor", got)
+	if got := svc.retryAfterSecs(); got != 1 {
+		t.Errorf("cold server: retry after %ds, want the 1s floor", got)
 	}
-	sh.stats.Sweeps.Store(3)
-	if got := sh.retryAfterSecs(); got != 1 {
+	svc.stats.Sweeps.Store(3)
+	if got := svc.retryAfterSecs(); got != 1 {
 		t.Errorf("all sweeps in flight: retry after %ds, want the 1s floor", got)
 	}
 
@@ -198,18 +194,18 @@ func TestRetryAfterUsesCompletedSweeps(t *testing.T) {
 	// only observed duration is 2.6s, so the estimate is ceil(2.6) = 3s.
 	// The pre-fix arithmetic divided 2.6s by the 4 started sweeps and
 	// promised 1s — a quarter of the real time scale.
-	sh.stats.Sweeps.Store(4)
-	sh.stats.sweepsDone.Store(1)
-	sh.stats.sweepNanos.Store(int64(2600 * time.Millisecond))
-	if got := sh.retryAfterSecs(); got != 3 {
+	svc.stats.Sweeps.Store(4)
+	svc.stats.sweepsDone.Store(1)
+	svc.stats.sweepNanos.Store(int64(2600 * time.Millisecond))
+	if got := svc.retryAfterSecs(); got != 3 {
 		t.Errorf("1 completed 2.6s sweep, 3 in flight: retry after %ds, want 3s", got)
 	}
 
 	// Once everything completes the two counts agree and the estimate is
 	// the plain mean again.
-	sh.stats.sweepsDone.Store(4)
-	sh.stats.sweepNanos.Store(int64(4 * 1200 * time.Millisecond))
-	if got := sh.retryAfterSecs(); got != 2 {
+	svc.stats.sweepsDone.Store(4)
+	svc.stats.sweepNanos.Store(int64(4 * 1200 * time.Millisecond))
+	if got := svc.retryAfterSecs(); got != 2 {
 		t.Errorf("4 completed 1.2s sweeps: retry after %ds, want 2s", got)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // distribution the drift'd measurements suggest is worth the bytes. Like
 // /v1/balance the computation is a stateless replay — the observation
 // history travels in the request — so identical requests get identical
-// decisions on any shard of any replica, and the whole run batches under
+// decisions on any server of a fleet, and the whole run batches under
 // the op-prefixed "reb|" key.
 
 // RebalanceRequest asks for a cost-gated repartitioning decision. The
@@ -93,14 +93,14 @@ type RebalanceResponse struct {
 var rebalanceOp = op[RebalanceRequest]{
 	name:    "reb",
 	tenant:  func(r *RebalanceRequest) *string { return &r.Tenant },
-	runs:    func(s *shardStats) *atomic.Int64 { return &s.RebalanceRuns },
-	prepare: (*shard).prepareRebalance,
+	runs:    func(s *serverStats) *atomic.Int64 { return &s.RebalanceRuns },
+	prepare: (*Server).prepareRebalance,
 }
 
 // prepareRebalance validates a decision request and resolves its link
-// model through the shard's calibration cache. The solve is pure
+// model through the server's calibration cache. The solve is pure
 // computation: model updates, one solver call, the plan sweep.
-func (sh *shard) prepareRebalance(req *RebalanceRequest) (func() (any, error), string, error) {
+func (s *Server) prepareRebalance(req *RebalanceRequest) (func() (any, error), string, error) {
 	if err := checkCount("process", req.N); err != nil {
 		return nil, "", err
 	}
@@ -139,7 +139,7 @@ func (sh *shard) prepareRebalance(req *RebalanceRequest) (func() (any, error), s
 	if err != nil {
 		return nil, "", err
 	}
-	link, commTag, err := sh.commModel(req.Comm, req.N)
+	link, commTag, err := s.commModel(req.Comm, req.N)
 	if err != nil {
 		return nil, "", asRequestError(err, "comm: %v", err)
 	}

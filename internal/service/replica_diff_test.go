@@ -15,13 +15,13 @@ type diffCase struct {
 	path string
 	req  any
 	// direct, when non-nil, computes the byte-exact response through the
-	// library only — the ground truth every shard count must reproduce.
+	// library only — the ground truth every fleet size must reproduce.
 	direct func(t *testing.T) []byte
 }
 
 // diffCorpus is the mixed-tenant battery: every endpoint that computes
-// from models, spread over enough distinct tenants that any multi-shard
-// server routes them to different shards.
+// from models, spread over enough distinct tenants that a round-robin
+// fleet serves them from different servers.
 func diffCorpus() []diffCase {
 	measure := MeasureRequest{
 		Tenant: "alpha",
@@ -67,8 +67,8 @@ func diffCorpus() []diffCase {
 	rebal := rebalanceReq("eta")
 	matp := matpartReq("theta")
 	defaultTenant := MeasureRequest{
-		// The empty tenant canonicalises to "default" — it must land on
-		// the same shard, and produce the same bytes, on every topology.
+		// The empty tenant canonicalises to "default" — it must produce
+		// the same bytes on every topology.
 		Device: DeviceSpec{Preset: "slow", Seed: 12},
 		Grid:   testGrid,
 	}
@@ -123,9 +123,10 @@ func directMeasureBytes(t *testing.T, req MeasureRequest) []byte {
 	return buf.Bytes()
 }
 
-// runDiffCorpus fires the whole corpus at once (every case concurrently)
-// and returns the response bytes per case, failing on any non-200.
-func runDiffCorpus(t *testing.T, baseURL string, corpus []diffCase) [][]byte {
+// runDiffCorpus fires the whole corpus at once (every case concurrently),
+// case i at bases[(i+shift) % len(bases)], and returns the response bytes
+// per case, failing on any non-200.
+func runDiffCorpus(t *testing.T, corpus []diffCase, shift int, bases ...string) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(corpus))
 	var wg sync.WaitGroup
@@ -135,7 +136,7 @@ func runDiffCorpus(t *testing.T, baseURL string, corpus []diffCase) [][]byte {
 		wg.Add(1)
 		go func(i int, c diffCase) {
 			defer wg.Done()
-			status, body := postJSON(t, baseURL+c.path, c.req)
+			status, body := postJSON(t, bases[(i+shift)%len(bases)]+c.path, c.req)
 			if status != 200 {
 				mu.Lock()
 				failures = append(failures, fmt.Sprintf("%s: status %d: %s", c.name, status, body))
@@ -155,11 +156,15 @@ func runDiffCorpus(t *testing.T, baseURL string, corpus []diffCase) [][]byte {
 	return out
 }
 
-// TestCrossReplicaDifferential is the sharding gate: the same mixed-tenant
-// corpus, served by 1, 2 and 4 shards, must produce byte-identical
-// responses — and, where the library path has a direct encoding, bytes
-// identical to the library itself. Sharding is a performance topology,
-// never an observable one.
+// TestCrossReplicaDifferential is the fleet gate: the same mixed-tenant
+// corpus, served round-robin by 1, 2 and 4 Servers sharing one store
+// directory (each server one shard of the fleet, as fupermod-route would
+// front them), must produce byte-identical responses — and, where the
+// library path has a direct encoding, bytes identical to the library
+// itself. The fleet must sweep exactly what the single server sweeps: the
+// store's cross-replica single-flight forbids a second sweep of a key.
+// The number of servers is a performance topology, never an observable
+// one.
 func TestCrossReplicaDifferential(t *testing.T) {
 	corpus := diffCorpus()
 
@@ -171,19 +176,23 @@ func TestCrossReplicaDifferential(t *testing.T) {
 		}
 	}
 
-	// Baseline topology: one shard (the pre-sharding server, exactly).
+	// Baseline topology: one server.
 	var baseline [][]byte
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			svc, ts := newTestServer(t, Config{Shards: shards, Workers: 4})
-			if got := svc.Shards(); got != shards {
-				t.Fatalf("Shards() = %d, want %d", got, shards)
+	var baseSweeps int64
+	for _, n := range []int{1, 2, 4} {
+		n := n
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			bases := make([]string, n)
+			for i := range bases {
+				_, ts := newStoreServer(t, dir, Config{Workers: 4})
+				bases[i] = ts.URL
 			}
-			got := runDiffCorpus(t, ts.URL, corpus)
-			// Serve the corpus a second time: cache hits must be
+			got := runDiffCorpus(t, corpus, 0, bases...)
+			// Serve the corpus a second time, each case on the next server:
+			// answers from the caches and the shared store must be
 			// byte-identical to cold fills.
-			again := runDiffCorpus(t, ts.URL, corpus)
+			again := runDiffCorpus(t, corpus, 1, bases...)
 			for i, c := range corpus {
 				if !bytes.Equal(got[i], again[i]) {
 					t.Errorf("%s: warm response differs from cold response", c.name)
@@ -192,34 +201,22 @@ func TestCrossReplicaDifferential(t *testing.T) {
 					t.Errorf("%s: differs from the direct library path\ngot:  %s\nwant: %s", c.name, got[i], want[i])
 				}
 			}
+			var sweeps int64
+			for _, base := range bases {
+				sweeps += getStats(t, base).Sweeps
+			}
 			if baseline == nil {
-				baseline = got
+				baseline, baseSweeps = got, sweeps
 				return
 			}
 			for i, c := range corpus {
 				if !bytes.Equal(got[i], baseline[i]) {
-					t.Errorf("%s: %d-shard response differs from 1-shard response\ngot:  %s\nwant: %s",
-						c.name, shards, got[i], baseline[i])
+					t.Errorf("%s: %d-server response differs from 1-server response\ngot:  %s\nwant: %s",
+						c.name, n, got[i], baseline[i])
 				}
 			}
-			// The per-shard breakdown must cover every shard, and the
-			// merged counters must equal the per-shard sums.
-			snap := getStats(t, ts.URL)
-			if len(snap.Shards) != shards {
-				t.Fatalf("/stats lists %d shards, want %d", len(snap.Shards), shards)
-			}
-			var sum ShardCounters
-			for _, ss := range snap.Shards {
-				if !ss.Live {
-					t.Errorf("shard %d reported dead on a healthy server", ss.Shard)
-				}
-				sum.add(ss.ShardCounters)
-			}
-			if sum.Sweeps != snap.Sweeps {
-				t.Errorf("merged sweeps %d != per-shard sum %d", snap.Sweeps, sum.Sweeps)
-			}
-			if sum.CacheMisses != snap.CacheMisses {
-				t.Errorf("merged cache_misses %d != per-shard sum %d", snap.CacheMisses, sum.CacheMisses)
+			if sweeps != baseSweeps {
+				t.Errorf("%d servers swept %d times, the single server %d", n, sweeps, baseSweeps)
 			}
 		})
 	}
@@ -233,14 +230,14 @@ func TestDifferentialMatchesDirectLibraryAfterRestart(t *testing.T) {
 	corpus := diffCorpus()
 	dir := t.TempDir()
 
-	_, ts1 := newStoreServer(t, dir, Config{Shards: 2, Workers: 4})
-	first := runDiffCorpus(t, ts1.URL, corpus)
+	_, ts1 := newStoreServer(t, dir, Config{Workers: 4})
+	first := runDiffCorpus(t, corpus, 0, ts1.URL)
 
-	_, ts2 := newStoreServer(t, dir, Config{Shards: 4, Workers: 4})
-	second := runDiffCorpus(t, ts2.URL, corpus)
+	_, ts2 := newStoreServer(t, dir, Config{Workers: 4})
+	second := runDiffCorpus(t, corpus, 0, ts2.URL)
 	for i, c := range corpus {
 		if !bytes.Equal(first[i], second[i]) {
-			t.Errorf("%s: restarted 4-shard server differs from original 2-shard server", c.name)
+			t.Errorf("%s: restarted server differs from the original server", c.name)
 		}
 		if c.direct != nil {
 			if want := c.direct(t); !bytes.Equal(second[i], want) {

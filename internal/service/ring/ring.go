@@ -1,13 +1,14 @@
-// Package ring implements the consistent-hash ring the sharded partition
-// service routes tenants with. Each replica owns a fixed set of virtual
-// nodes (points on a 64-bit hash circle); a tenant maps to the first live
-// replica at or clockwise of its own hash. The construction gives the two
-// properties the serving layer is built on:
+// Package ring implements the consistent-hash ring cmd/fupermod-route
+// spreads tenants over a fleet of partition servers with. Each replica
+// (one server process) owns a fixed set of virtual nodes (points on a
+// 64-bit hash circle); a tenant maps to the first live replica at or
+// clockwise of its own hash. The construction gives the two properties
+// the serving layer is built on:
 //
 //   - affinity: a tenant maps to exactly one replica, deterministically —
 //     the same tenant name resolves to the same replica in every process
-//     that agrees on the membership, so the in-process sharded server and
-//     the external fupermod-route CLI route identically;
+//     that agrees on the membership, so every router in front of one
+//     fleet routes identically;
 //   - minimal disruption: a single membership change (replica added,
 //     removed, or marked dead) moves only the tenants whose walk touches
 //     that replica — everyone else keeps their assignment, so caches stay

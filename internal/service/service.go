@@ -1,26 +1,26 @@
 // Package service is the long-lived, multi-tenant partition server: the
 // paper's one-shot measure → model → partition workflow (§4.1–4.3) turned
-// into a concurrent in-process HTTP+JSON service, split into three layers:
+// into a concurrent in-process HTTP+JSON service. A process holds one
+// serving core (Server, server.go), which owns:
 //
-//   - a stateless router (router.go) spreading tenants across shards with
-//     a consistent-hash ring (package ring) — tenant affinity, failover by
-//     re-walking the ring past dead shards;
-//   - one or more shards (shard.go), each the full serving core: per-tenant
-//     fitted-model LRU caches keyed by (device, noise seed, size grid,
-//     model kind) with single-flight deduplication — concurrent identical
-//     requests trigger exactly one benchmark sweep — identical-request
-//     batching within a short window, and weighted fair admission quotas;
-//   - the shared durable model store (package modelstore), the source of
-//     truth keeping shard-local caches coherent: a shard that misses
-//     locally checks the store — through its cross-replica single-flight —
-//     before paying for a sweep.
+//   - per-tenant fitted-model LRU caches keyed by (device, noise seed,
+//     size grid, model kind) with single-flight deduplication —
+//     concurrent identical requests trigger exactly one benchmark sweep —
+//     identical-request batching within a short window, a comm-model
+//     calibration cache, and weighted fair admission quotas;
+//   - one bounded worker pool running every sweep, fit and solver call, so
+//     the service never oversubscribes the machine;
+//   - the durable model store (package modelstore), the source of truth
+//     keeping the caches of servers that share one store directory
+//     coherent: a server that misses locally checks the store — through
+//     its cross-replica single-flight — before paying for a sweep.
 //
-// All sweeps, fits and solver calls across all shards run on one shared
-// bounded worker pool so the service never oversubscribes the machine.
-// Responses are pure functions of their requests: any tenant, any shard
-// count, any failover history — same bytes as the direct library path
-// (the cross-replica differential battery in replica_diff_test.go pins
-// exactly this).
+// A fleet scales out as several processes on one store directory behind
+// cmd/fupermod-route, which spreads tenants over them with a consistent-
+// hash ring (package ring). Responses are pure functions of their
+// requests: any tenant, any number of servers, any failover history —
+// same bytes as the direct library path (the cross-replica differential
+// battery in replica_diff_test.go pins exactly this).
 //
 // The serving-layer shape — caching, request coalescing, batching, bounded
 // concurrency, graceful drain — follows Lastovetsky–Reddy–Rychkov–Clarke's
@@ -37,7 +37,7 @@
 //	POST /v1/rebalance  cost-gated elastic repartitioning decision + plan
 //	POST /v1/matpart    2D column-based matrix arrangement for given areas
 //	POST /v1/machine    upload a machine file describing a tenant's devices
-//	GET  /stats         merged + per-shard request/cache/store/quota counters
+//	GET  /stats         request/cache/store/quota counters
 //	GET  /healthz       liveness probe
 package service
 
@@ -93,12 +93,9 @@ const DefaultTransferTol = 0.02
 
 // Config parametrises New.
 type Config struct {
-	// Workers bounds the shared pool running sweeps, fits and solves;
-	// <= 0 selects GOMAXPROCS. The pool is shared by all shards.
+	// Workers bounds the pool running sweeps, fits and solves; <= 0
+	// selects GOMAXPROCS.
 	Workers int
-	// Shards is the number of in-process shards tenants are spread over;
-	// <= 0 selects 1 (the pre-sharding behaviour).
-	Shards int
 	// CacheSize is the per-tenant LRU bound in fitted models; <= 0
 	// selects DefaultCacheSize.
 	CacheSize int
@@ -245,7 +242,7 @@ type PartPayload struct {
 // PartitionResponse returns the computed distribution. It is a pure
 // function of the request — no per-request metadata — so identical
 // requests receive byte-identical responses whether served from a cold
-// sweep, the cache, a shared batch, or any shard of any replica.
+// sweep, the cache, a shared batch, or any server of a fleet.
 type PartitionResponse struct {
 	Algorithm string        `json:"algorithm"`
 	Model     string        `json:"model"`
@@ -275,8 +272,8 @@ func badRequest(format string, args ...any) error {
 }
 
 // asRequestError passes a handler-originated httpError (e.g. a quota 429)
-// through intact, maps a dead shard's cancellation to 503 — the in-flight
-// casualties of a killed shard are a service condition, not a client
+// through intact, maps a closed server's cancellation to 503 — the
+// in-flight casualties of a shutdown are a service condition, not a client
 // mistake — and downgrades everything else to a 400 with the given
 // message.
 func asRequestError(err error, format string, args ...any) error {
@@ -293,7 +290,7 @@ func asRequestError(err error, format string, args ...any) error {
 // instrument wraps a handler with request counting and latency tracking.
 func (s *Server) instrument(h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.front.requests.Add(1)
+		s.stats.requests.Add(1)
 		start := time.Now()
 		status := http.StatusOK
 		if err := h(w, r); err != nil {
@@ -310,12 +307,13 @@ func (s *Server) instrument(h func(w http.ResponseWriter, r *http.Request) error
 			w.WriteHeader(status)
 			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 		}
-		s.front.observe(time.Since(start), status)
+		s.stats.observe(time.Since(start), status)
 	}
 }
 
-// decode parses a JSON request body with a sane size bound.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
+// decode parses a JSON POST body into v with a sane size bound, then
+// canonicalises in place the tenant it names (tenant points into v).
+func decode(w http.ResponseWriter, r *http.Request, v any, tenant *string) error {
 	if r.Method != http.MethodPost {
 		return &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"}
 	}
@@ -323,6 +321,7 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	if err := DecodeJSON(r.Body, v); err != nil {
 		return badRequest("malformed request: %v", err)
 	}
+	*tenant = TenantOf(*tenant)
 	return nil
 }
 
@@ -346,8 +345,8 @@ func TenantOf(name string) string {
 // keyFor canonicalises the device reference for the tenant (resolving
 // bare "machine:<rank>" refs against the tenant's current upload) and
 // builds the cache key.
-func (sh *shard) keyFor(tenant string, dev DeviceSpec, grid Grid, kind string) (ModelKey, error) {
-	canon, err := sh.canonDevice(tenant, dev.Preset)
+func (s *Server) keyFor(tenant string, dev DeviceSpec, grid Grid, kind string) (ModelKey, error) {
+	canon, err := s.canonDevice(tenant, dev.Preset)
 	if err != nil {
 		return ModelKey{}, badRequest("%v", err)
 	}
@@ -383,19 +382,18 @@ func pointPayloads(pts []core.Point) []PointPayload {
 	return out
 }
 
-// resolveModel routes a measure or model request and resolves its fitted
+// resolveModel decodes a measure or model request and resolves its fitted
 // model through the tenant cache.
 func (s *Server) resolveModel(w http.ResponseWriter, r *http.Request) (ModelKey, core.Model, []core.Point, error) {
 	var req MeasureRequest
-	sh, err := s.route(w, r, &req, &req.Tenant)
+	if err := decode(w, r, &req, &req.Tenant); err != nil {
+		return ModelKey{}, nil, nil, err
+	}
+	key, err := s.keyFor(req.Tenant, req.Device, req.Grid, req.Model)
 	if err != nil {
 		return ModelKey{}, nil, nil, err
 	}
-	key, err := sh.keyFor(req.Tenant, req.Device, req.Grid, req.Model)
-	if err != nil {
-		return ModelKey{}, nil, nil, err
-	}
-	m, pts, err := sh.getModel(req.Tenant, key)
+	m, pts, err := s.getModel(req.Tenant, key)
 	if err != nil {
 		return ModelKey{}, nil, nil, asRequestError(err, "%v", err)
 	}
@@ -441,8 +439,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) error {
 
 var partitionOp = op[PartitionRequest]{
 	tenant:  func(r *PartitionRequest) *string { return &r.Tenant },
-	runs:    func(s *shardStats) *atomic.Int64 { return &s.BatchSolves },
-	prepare: (*shard).preparePartition,
+	runs:    func(s *serverStats) *atomic.Int64 { return &s.BatchSolves },
+	prepare: (*Server).preparePartition,
 }
 
 // preparePartition resolves every device's fitted model through the
@@ -451,7 +449,7 @@ var partitionOp = op[PartitionRequest]{
 // pool slot only while sweeping, and cross-request parallelism keeps the
 // pool busy — which also rules out pool starvation from nested
 // acquisition.
-func (sh *shard) preparePartition(req *PartitionRequest) (func() (any, error), string, error) {
+func (s *Server) preparePartition(req *PartitionRequest) (func() (any, error), string, error) {
 	if err := checkCount("device", len(req.Devices)); err != nil {
 		return nil, "", err
 	}
@@ -465,17 +463,17 @@ func (sh *shard) preparePartition(req *PartitionRequest) (func() (any, error), s
 	keys := make([]ModelKey, len(req.Devices))
 	models := make([]core.Model, len(req.Devices))
 	for i, dev := range req.Devices {
-		key, err := sh.keyFor(req.Tenant, dev, req.Grid, req.Model)
+		key, err := s.keyFor(req.Tenant, dev, req.Grid, req.Model)
 		if err != nil {
 			return nil, "", err
 		}
-		m, _, err := sh.getModel(req.Tenant, key)
+		m, _, err := s.getModel(req.Tenant, key)
 		if err != nil {
 			return nil, "", asRequestError(err, "device %d (%s): %v", i, dev.Preset, err)
 		}
 		keys[i], models[i] = key, m
 	}
-	models, commTag, err := sh.commWrap(req.Comm, models)
+	models, commTag, err := s.commWrap(req.Comm, models)
 	if err != nil {
 		return nil, "", badRequest("comm: %v", err)
 	}

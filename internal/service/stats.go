@@ -9,14 +9,18 @@ import (
 	"fupermod/internal/service/modelstore"
 )
 
-// shardStats holds one shard's monotonically increasing counters. All
+// serverStats holds the server's monotonically increasing counters. All
 // fields are updated with atomics so handlers never serialise on a stats
 // lock; the per-tenant quota-rejection map is the one mutex-guarded
 // exception (it is touched only on the rejection path, which is already
 // the slow lane). Exported counters are published, and documented, as the
-// same-named ShardCounters fields. Front-of-house counters live on the
-// router (frontStats), which sees every request exactly once.
-type shardStats struct {
+// same-named ShardCounters fields.
+type serverStats struct {
+	requests atomic.Int64 // HTTP requests accepted (all endpoints)
+	errors   atomic.Int64 // requests answered with a non-2xx status
+	latencyN atomic.Int64 // completed requests with measured latency
+	latencyT atomic.Int64 // cumulative handler latency, nanoseconds
+
 	CacheHits, CacheMisses, CacheCoalesced, CacheEvictions atomic.Int64
 
 	Sweeps     atomic.Int64
@@ -39,11 +43,11 @@ type shardStats struct {
 }
 
 // counterFields pairs, by field index, each int64 counter of
-// ShardCounters with the shardStats atomic of the same name, so a counter
+// ShardCounters with the serverStats atomic of the same name, so a counter
 // is declared in those two structs and nowhere else. A ShardCounters
 // counter without its atomic fails at start-up.
 var counterFields = func() (pairs [][2]int) {
-	ct, st := reflect.TypeFor[ShardCounters](), reflect.TypeFor[shardStats]()
+	ct, st := reflect.TypeFor[ShardCounters](), reflect.TypeFor[serverStats]()
 	for i := 0; i < ct.NumField(); i++ {
 		f := ct.Field(i)
 		if f.Type.Kind() != reflect.Int64 {
@@ -51,7 +55,7 @@ var counterFields = func() (pairs [][2]int) {
 		}
 		sf, ok := st.FieldByName(f.Name)
 		if !ok || sf.Type != reflect.TypeFor[atomic.Int64]() {
-			panic("service: ShardCounters." + f.Name + " has no shardStats counter")
+			panic("service: ShardCounters." + f.Name + " has no serverStats counter")
 		}
 		pairs = append(pairs, [2]int{i, sf.Index[0]})
 	}
@@ -59,7 +63,7 @@ var counterFields = func() (pairs [][2]int) {
 }()
 
 // rejectQuota records one quota rejection for the tenant.
-func (s *shardStats) rejectQuota(tenant string) {
+func (s *serverStats) rejectQuota(tenant string) {
 	s.QuotaRejections.Add(1)
 	s.quotaMu.Lock()
 	if s.quotaByTenant == nil {
@@ -69,8 +73,8 @@ func (s *shardStats) rejectQuota(tenant string) {
 	s.quotaMu.Unlock()
 }
 
-// counters captures the shard's counters as one addable value.
-func (s *shardStats) counters() ShardCounters {
+// counters captures the server's counters as one addable value.
+func (s *serverStats) counters() ShardCounters {
 	var c ShardCounters
 	cv, sv := reflect.ValueOf(&c).Elem(), reflect.ValueOf(s).Elem()
 	for _, f := range counterFields {
@@ -87,46 +91,23 @@ func (s *shardStats) counters() ShardCounters {
 	return c
 }
 
-// frontStats holds the router-level counters: every request is counted
-// once at the front door, whatever shard (or none — a routing error)
-// serves it. retired accumulates the counters of shards replaced by
-// ReviveShard so the merged view stays monotone across failovers.
-type frontStats struct {
-	requests atomic.Int64 // HTTP requests accepted (all endpoints)
-	errors   atomic.Int64 // requests answered with a non-2xx status
-	latencyN atomic.Int64 // completed requests with measured latency
-	latencyT atomic.Int64 // cumulative handler latency, nanoseconds
-
-	preloadCorrupt atomic.Int64 // corrupt store files found while preloading
-
-	retiredMu sync.Mutex
-	retired   ShardCounters
-}
-
 // observe records one completed request.
-func (f *frontStats) observe(d time.Duration, status int) {
+func (s *serverStats) observe(d time.Duration, status int) {
 	if status >= 300 {
-		f.errors.Add(1)
+		s.errors.Add(1)
 	}
-	f.latencyN.Add(1)
-	f.latencyT.Add(int64(d))
+	s.latencyN.Add(1)
+	s.latencyT.Add(int64(d))
 }
 
-// retire folds a replaced shard's final counters into the front's retired
-// sum, so killing and reviving a shard never makes /stats go backwards.
-func (f *frontStats) retire(c ShardCounters) {
-	f.retiredMu.Lock()
-	f.retired.add(c)
-	f.retiredMu.Unlock()
-}
-
-// ShardCounters is the per-shard slice of the /stats schema: everything a
-// single shard counts for itself. It appears twice in the endpoint — once
-// per shard (ShardSnapshot) and once summed across shards plus retired
-// predecessors (Snapshot). The schema is pinned by a golden-file test
-// (stats_golden_test.go): new counters must be added there deliberately,
-// never by accident. Each int64 counter is fed by the shardStats atomic of
-// the same name (counterFields).
+// ShardCounters is the counter slice of the /stats schema — a server's
+// cache, sweep, store, transfer, batch and endpoint counters — embedded in
+// Snapshot and summed field by field by MergeSnapshots across a fleet
+// (each backend of a fleet serves one shard of the tenants, hence the
+// name). The schema is pinned by a golden-file test (stats_golden_test.go):
+// new counters must be added there deliberately, never by accident. Each
+// int64 counter is fed by the serverStats atomic of the same name
+// (counterFields).
 type ShardCounters struct {
 	// Cache counters: a hit returns a fitted model with no work, a miss
 	// triggers one fill, a coalesced request waited on a fill another
@@ -141,10 +122,11 @@ type ShardCounters struct {
 	// operation the cache, single-flight and disk store exist to avoid.
 	Sweeps int64 `json:"sweeps"`
 
-	// Disk-store counters: entries preloaded at start, fills answered
-	// from disk instead of sweeping, sweeps spilled to disk, corrupt
-	// files encountered (each one re-swept, never served), and failed
-	// spill writes.
+	// Disk-store counters: entries found under this server's precision
+	// at start (preloaded, or passed over because the tenant's LRU was
+	// full), fills answered from disk instead of sweeping, sweeps spilled
+	// to disk, corrupt files encountered (each one re-swept, never
+	// served), and failed spill writes.
 	StoreLoaded  int64 `json:"store_loaded"`
 	StoreHits    int64 `json:"store_hits"`
 	StoreSpills  int64 `json:"store_spills"`
@@ -202,22 +184,8 @@ func (c *ShardCounters) add(o ShardCounters) {
 	}
 }
 
-// ShardSnapshot is one shard's view in the /stats response.
-type ShardSnapshot struct {
-	// Shard is the shard's index, Live whether the ring currently routes
-	// tenants to it.
-	Shard int  `json:"shard"`
-	Live  bool `json:"live"`
-	ShardCounters
-	// Tenants and CacheEntries describe the shard's cache population.
-	Tenants      int `json:"tenants"`
-	CacheEntries int `json:"cache_entries"`
-}
-
-// Snapshot is the JSON shape of the /stats endpoint: the merged view
-// (front-door request counters plus per-shard counters summed, retired
-// shards included) followed by the per-shard breakdown. A single-shard
-// server serves exactly the pre-sharding schema plus the "shards" list.
+// Snapshot is the JSON shape of the /stats endpoint: the request
+// counters, the server's counters and its cache population.
 type Snapshot struct {
 	// Requests counts every request accepted, Errors those answered with
 	// a non-2xx status; AvgLatencyMicros is the mean handler latency.
@@ -227,30 +195,22 @@ type Snapshot struct {
 
 	ShardCounters
 
-	// Tenants and CacheEntries sum the cache population across shards (a
-	// tenant lives on exactly one live shard, so the sum never double
-	// counts).
+	// Tenants and CacheEntries describe the cache population.
 	Tenants      int `json:"tenants"`
 	CacheEntries int `json:"cache_entries"`
 
-	// Workers is the size of the worker pool all shards share.
+	// Workers is the size of the server's worker pool.
 	Workers int `json:"workers"`
 
 	// Store is the on-disk model store's census (entries, bytes, per-tenant
 	// counts, transferred entries) — the donor pool cross-device transfer
 	// draws from. All-zero on storeless servers.
 	Store modelstore.StoreStats `json:"store"`
-
-	// Shards is the per-shard breakdown; absent on merged-of-merged views
-	// (the route CLI's cross-process aggregation).
-	Shards []ShardSnapshot `json:"shards,omitempty"`
 }
 
 // MergeSnapshots aggregates whole-server snapshots — the route CLI uses it
-// to merge the /stats of every live backend into one fleet view. The
-// per-shard breakdown is intentionally dropped (shard indices only mean
-// something within one process); AvgLatencyMicros is weighted by request
-// count.
+// to merge the /stats of every live backend into one fleet view.
+// AvgLatencyMicros is weighted by request count.
 func MergeSnapshots(snaps []Snapshot) Snapshot {
 	var out Snapshot
 	var latT float64

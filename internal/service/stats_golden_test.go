@@ -41,8 +41,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // sentinelSnapshot fills every Snapshot field with a distinct value, so a
 // field accidentally dropped from the JSON schema (or serialised under the
 // wrong key) changes the golden bytes. The filler recurses into embedded
-// structs (ShardCounters) and slices (the per-shard breakdown gets two
-// sentinel elements, so per-shard keys are pinned too).
+// structs (ShardCounters, the store census).
 func sentinelSnapshot(t *testing.T) Snapshot {
 	var snap Snapshot
 	fillSentinel(t, reflect.ValueOf(&snap).Elem(), 0)
@@ -58,12 +57,6 @@ func fillSentinel(t *testing.T, v reflect.Value, n int) int {
 		for i := 0; i < v.NumField(); i++ {
 			n = fillSentinel(t, v.Field(i), n)
 		}
-	case reflect.Slice:
-		s := reflect.MakeSlice(v.Type(), 2, 2)
-		for i := 0; i < s.Len(); i++ {
-			n = fillSentinel(t, s.Index(i), n)
-		}
-		v.Set(s)
 	case reflect.Int64:
 		v.SetInt(int64(1000 + n))
 		n++
@@ -147,12 +140,12 @@ func TestStatsEndpointMatchesSchema(t *testing.T) {
 	}
 }
 
-// TestCountersCarryEveryField: every exported shardStats counter reaches
+// TestCountersCarryEveryField: every exported serverStats counter reaches
 // the ShardCounters field of its own name through counters(), and add()
 // sums each field into itself — a counter wired to the wrong field, or to
 // none, fails here.
 func TestCountersCarryEveryField(t *testing.T) {
-	var s shardStats
+	var s serverStats
 	sv := reflect.ValueOf(&s).Elem()
 	want := map[string]int64{}
 	for i := 0; i < sv.NumField(); i++ {
@@ -182,6 +175,6 @@ func TestCountersCarryEveryField(t *testing.T) {
 		}
 	}
 	if published != len(want) {
-		t.Errorf("ShardCounters publishes %d counters, shardStats declares %d", published, len(want))
+		t.Errorf("ShardCounters publishes %d counters, serverStats declares %d", published, len(want))
 	}
 }

@@ -28,16 +28,16 @@ import (
 // never-transferred server's; the fresh kernel makes the fallback
 // byte-identical to running with -transfer off, which the edge-case tests
 // assert end to end.
-func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelstore.Key) (modelstore.Swept, error) {
-	donors, err := sh.store.Donors(sk)
+func (s *Server) acquireKey(tenant string, key ModelKey, sizes []int, sk modelstore.Key) (modelstore.Swept, error) {
+	donors, err := s.store.Donors(sk)
 	if err != nil || donors.Len() == 0 {
 		// An unreadable donor index is a reason to not transfer, never a
 		// reason to fail the fill.
-		sh.stats.TransferFallbacks.Add(1)
-		return sh.sweptKey(tenant, key, sizes)
+		s.stats.TransferFallbacks.Add(1)
+		return s.sweptKey(tenant, key, sizes)
 	}
 
-	dev, err := sh.resolveDevice(tenant, key.Device)
+	dev, err := s.resolveDevice(tenant, key.Device)
 	if err != nil {
 		return modelstore.Swept{}, err
 	}
@@ -47,16 +47,16 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 		return modelstore.Swept{}, err
 	}
 	cfg := transfer.Config{
-		Probes:     sh.transferProbes,
-		Budget:     sh.transferBudget,
-		Tol:        sh.transferTol,
+		Probes:     s.transferProbes,
+		Budget:     s.transferBudget,
+		Tol:        s.transferTol,
 		Candidates: transfer.DefaultCandidates,
 	}
 	var res *transfer.Result
-	err = pool.Do(sh.ctx, sh.pool, func(context.Context) error {
+	err = pool.Do(s.ctx, s.pool, func(context.Context) error {
 		prober := func(d int) (core.Point, error) {
-			sh.stats.TransferProbes.Add(1)
-			return core.Benchmark(k, d, sh.precision)
+			s.stats.TransferProbes.Add(1)
+			return core.Benchmark(k, d, s.precision)
 		}
 		var aerr error
 		res, aerr = transfer.Acquire(sizes, prober, donors.Source(cfg.Candidates), cfg)
@@ -66,10 +66,10 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 		return modelstore.Swept{}, err
 	}
 	if res.Fallback != "" {
-		sh.stats.TransferFallbacks.Add(1)
-		return sh.sweptKey(tenant, key, sizes)
+		s.stats.TransferFallbacks.Add(1)
+		return s.sweptKey(tenant, key, sizes)
 	}
-	sh.stats.TransferRuns.Add(1)
+	s.stats.TransferRuns.Add(1)
 	prov := fmt.Sprintf("donor=%s scale=%.6g probes=%d/%d maxdiff=%.3g",
 		res.Donor, res.Scale, res.Measured, len(sizes), res.MaxDisagree)
 	return modelstore.Swept{Kernel: dev.Name(), Points: res.Points, Transfer: prov}, nil
@@ -77,8 +77,8 @@ func (sh *shard) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 
 // sweptKey adapts sweepKey's result to the provenance-carrying Swept the
 // store fill consumes (full sweeps carry none).
-func (sh *shard) sweptKey(tenant string, key ModelKey, sizes []int) (modelstore.Swept, error) {
-	kernel, pts, err := sh.sweepKey(tenant, key, sizes)
+func (s *Server) sweptKey(tenant string, key ModelKey, sizes []int) (modelstore.Swept, error) {
+	kernel, pts, err := s.sweepKey(tenant, key, sizes)
 	if err != nil {
 		return modelstore.Swept{}, err
 	}

@@ -56,17 +56,13 @@ func TestTransferWarmStartsColdTenant(t *testing.T) {
 	}
 	// The cold key's store entry carries the transfer provenance, naming
 	// the donor, and the store census counts it.
-	sh, err := svc.shardFor("cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, ok := sh.storeKey("cold", ModelKey{
+	sk, ok := svc.storeKey("cold", ModelKey{
 		Device: "fast", Seed: 1, Lo: transferGrid.Lo, Hi: transferGrid.Hi, N: transferGrid.N,
 	})
 	if !ok {
 		t.Fatal("store should be configured")
 	}
-	ent, ok, err := sh.store.Get(sk)
+	ent, ok, err := svc.store.Get(sk)
 	if err != nil || !ok {
 		t.Fatalf("cold entry: ok=%v err=%v", ok, err)
 	}
@@ -87,7 +83,7 @@ func TestTransferWarmStartsColdTenant(t *testing.T) {
 }
 
 // gridSizes resolves a Grid to its concrete sizes through the same core
-// helper the shard uses.
+// helper the server uses.
 func gridSizes(t *testing.T, g Grid) []int {
 	t.Helper()
 	sizes := logSizesForTest(g)
@@ -119,14 +115,10 @@ func TestTransferEmptyStoreFallsBackByteIdentical(t *testing.T) {
 		t.Fatalf("empty-store fallback should spend no probes, spent %d", snap.TransferProbes)
 	}
 	// The healed entry is a plain full sweep: no provenance.
-	sh, err := svc.shardFor("cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, _ := sh.storeKey("cold", ModelKey{
+	sk, _ := svc.storeKey("cold", ModelKey{
 		Device: "fast", Seed: 3, Noise: 0.05, Lo: transferGrid.Lo, Hi: transferGrid.Hi, N: transferGrid.N,
 	})
-	if ent, ok, err := sh.store.Get(sk); err != nil || !ok || ent.Transfer != "" {
+	if ent, ok, err := svc.store.Get(sk); err != nil || !ok || ent.Transfer != "" {
 		t.Fatalf("fallback entry: ok=%v err=%v transfer=%q", ok, err, ent.Transfer)
 	}
 }
@@ -348,7 +340,7 @@ func TestNewRejectsTransferWithoutStore(t *testing.T) {
 	}
 }
 
-// logSizesForTest mirrors the shard's grid resolution.
+// logSizesForTest mirrors the server's grid resolution.
 func logSizesForTest(g Grid) []int {
 	return core.LogSizes(g.Lo, g.Hi, g.N)
 }
