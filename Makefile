@@ -56,10 +56,13 @@ fuzz-smoke:
 ## service: vet + race-test the partition service (incl. the on-disk model
 ## store) and its CLI end to end (-count=1 forces a fresh run: these tests
 ## assert live concurrency — single-flight, batching, quotas, drain — that
-## a cached pass would not exercise)
+## a cached pass would not exercise), then, ten times over, the tests in
+## which fills race for one cache entry or store flight: single-flight,
+## a panicking fill, and replicas sharing one store
 service:
 	$(GO) vet ./internal/service/... ./cmd/fupermod-serve
 	$(GO) test -race -count=1 ./internal/service/... ./cmd/fupermod-serve
+	$(GO) test -race -count=10 -run 'SingleFlight|FillPanic|StoreCoherence' ./internal/service
 
 ## route: vet + race-test the consistent-hash ring and the routing tier
 ## CLI end to end over real backends, then, ten times over, the failover

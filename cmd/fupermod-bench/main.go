@@ -231,20 +231,22 @@ func run(args []string, stdout io.Writer) error {
 	}
 	transferred := false
 	if !fromStore && *doTransfer {
-		probeKernel, kerr := mkKernel()
-		if kerr != nil {
-			return kerr
+		prober := func() (transfer.Prober, error) {
+			pk, err := mkKernel()
+			if err != nil {
+				return nil, err
+			}
+			return core.NewProber(pk, prec), nil
 		}
-		cfg := transfer.Config{Probes: *trProbes, Budget: *trBudget, Tol: *trTol, Candidates: transfer.DefaultCandidates}
-		res, terr := tryTransfer(store, storeKey, probeKernel, sizes, prec, cfg)
+		cfg := transfer.Config{Probes: *trProbes, Budget: *trBudget, Tol: *trTol}
+		res, terr := store.Acquire(storeKey, sizes, prober, cfg)
 		if terr != nil {
 			return terr
 		}
 		if res.Fallback == "" {
 			pts = res.Points
 			transferred = true
-			prov := fmt.Sprintf("donor=%s scale=%.6g probes=%d/%d maxdiff=%.3g",
-				res.Donor, res.Scale, res.Measured, len(sizes), res.MaxDisagree)
+			prov := modelstore.Provenance(res, len(sizes))
 			if err := store.PutTransfer(storeKey, k.Name(), pts, prov); err != nil {
 				return err
 			}
@@ -293,22 +295,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(os.Stderr, "measured %d points (%.3gs of kernel time)\n",
 		len(pts), core.BenchmarkCost(pts))
 	return nil
-}
-
-// tryTransfer attempts a warm start for a cold store key: rank the store's
-// full-sweep curves (a snapshot of its donor index) against k's initial
-// probes, rescale the nearest one and actively sample until tolerance or
-// budget. An unreadable or empty donor pool is a reason to fall back, never
-// an error — the full sweep always works.
-func tryTransfer(store *modelstore.Store, key modelstore.Key, k core.Kernel, sizes []int, prec core.Precision, cfg transfer.Config) (*transfer.Result, error) {
-	donors, err := store.Donors(key)
-	if err != nil {
-		return &transfer.Result{Fallback: fmt.Sprintf("donor pool unreadable: %v", err)}, nil
-	}
-	if donors.Len() == 0 {
-		return &transfer.Result{Fallback: "the store has no donor curves"}, nil
-	}
-	return transfer.Acquire(sizes, core.NewProber(k, prec), donors.Source(cfg.Candidates), cfg)
 }
 
 // benchMachine benchmarks every device of a machine file, node by node

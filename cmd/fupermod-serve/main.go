@@ -16,7 +16,9 @@
 // nearest-fingerprint donor curve via a small active-sampling probe loop
 // instead of a full sweep; when no stored curve matches, the server falls
 // back to the full sweep and serves byte-identical answers to a
-// transfer-off server.
+// transfer-off server. The probe loop runs with the service defaults (4
+// initial probes, a quarter of the grid, 2% tolerance); fupermod-bench
+// -transfer exposes those knobs for experiments.
 //
 // A process is one serving core. To scale out, run N fupermod-serve
 // processes on one -store-dir behind cmd/fupermod-route, which spreads
@@ -89,9 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		storeDir        = fs.String("store-dir", "", "directory of the on-disk model store (empty disables persistence)")
 		quotaSlots      = fs.Int("quota-slots", 0, "in-flight sweep slots per quota weight unit (0 disables admission control)")
 		transfer        = fs.Bool("transfer", false, "warm-start cold sweeps from the store's nearest-fingerprint donor curves (requires -store-dir)")
-		transferProbes  = fs.Int("transfer-probes", service.DefaultTransferProbes, "initial probe count per transfer attempt")
-		transferBudget  = fs.Int("transfer-budget", 0, "total benchmark-call budget per transfer (0 = a quarter of the grid)")
-		transferTol     = fs.Float64("transfer-tol", service.DefaultTransferTol, "convergence tolerance on donor/interpolant disagreement")
 	)
 	quotaWeights := map[string]int{}
 	fs.Func("quota-weight", "per-tenant quota weight as tenant=w (repeatable)", func(v string) error {
@@ -133,32 +132,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if len(quotaWeights) > 0 && *quotaSlots == 0 {
 		return fmt.Errorf("-quota-weight requires -quota-slots")
 	}
-	// Transfer options are validated unconditionally: a non-positive probe
-	// count or tolerance is a typo whether or not -transfer is set this run.
-	if *transferProbes <= 0 {
-		return fmt.Errorf("-transfer-probes must be positive, got %d", *transferProbes)
-	}
-	if *transferBudget < 0 {
-		return fmt.Errorf("-transfer-budget must be non-negative (0 = a quarter of the grid), got %d", *transferBudget)
-	}
-	if *transferTol <= 0 {
-		return fmt.Errorf("-transfer-tol must be positive, got %g", *transferTol)
-	}
 	if *transfer && *storeDir == "" {
 		return fmt.Errorf("-transfer requires -store-dir (the store is the donor pool)")
 	}
 
 	svc, err := service.New(service.Config{
-		Workers:        *workers,
-		CacheSize:      *cacheSize,
-		BatchWindow:    *batchWindow,
-		StoreDir:       *storeDir,
-		QuotaSlots:     *quotaSlots,
-		QuotaWeights:   quotaWeights,
-		Transfer:       *transfer,
-		TransferProbes: *transferProbes,
-		TransferBudget: *transferBudget,
-		TransferTol:    *transferTol,
+		Workers:      *workers,
+		CacheSize:    *cacheSize,
+		BatchWindow:  *batchWindow,
+		StoreDir:     *storeDir,
+		QuotaSlots:   *quotaSlots,
+		QuotaWeights: quotaWeights,
+		Transfer:     *transfer,
 	})
 	if err != nil {
 		return err

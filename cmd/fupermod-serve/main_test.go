@@ -52,12 +52,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-quota-slots", "1", "-quota-weight", "team-a=0"}, // weight < 1
 		{"-quota-slots", "1", "-quota-weight", "=2"},       // empty tenant
 		{"-transfer"},                                      // transfer without a store
-		{"-transfer-probes", "0"},                          // non-positive, with -transfer off
-		{"-transfer-probes", "-2"},
-		{"-transfer-budget", "-1"},
-		{"-transfer-tol", "0"},
-		{"-transfer-tol", "-0.5"},
-		{"-transfer-tol", "x"}, // non-numeric
 	}
 	for _, args := range cases {
 		var out syncBuffer
@@ -156,8 +150,8 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
-// TestRunBootsWithTransfer: the -transfer flag set reaches the service and
-// a transfer-enabled server starts, serves and drains cleanly.
+// TestRunBootsWithTransfer: the -transfer flag reaches the service and a
+// transfer-enabled server starts, serves and drains cleanly.
 func TestRunBootsWithTransfer(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -166,7 +160,7 @@ func TestRunBootsWithTransfer(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-workers", "2",
-			"-store-dir", t.TempDir(), "-transfer", "-transfer-budget", "12",
+			"-store-dir", t.TempDir(), "-transfer",
 		}, &out)
 	}()
 	var base string

@@ -36,18 +36,13 @@ func (k ModelKey) String() string {
 		k.Device, k.Seed, k.Noise, k.Lo, k.Hi, k.N, k.Model)
 }
 
-// fitted is what a cache fill produces: the model and the points it was
-// fitted to.
-type fitted struct {
-	model  core.Model
-	points []core.Point
-}
-
 // entry is one cache slot: the fill's call, published before the fill
-// runs. Closing done is the happens-before edge making the fitted model
-// safe for concurrent read-only use by any number of partition solves.
+// runs. Its value is the fitted model alone — the model keeps the points
+// it was fitted to (Points), so the slot holds each measurement once.
+// Closing done is the happens-before edge making the fitted model safe for
+// concurrent read-only use by any number of partition solves.
 type entry struct {
-	*call[fitted]
+	*call[core.Model]
 	key  ModelKey
 	elem *list.Element
 }
@@ -66,15 +61,15 @@ func newTenantCache(max int) *tenantCache {
 	return &tenantCache{max: max, entries: make(map[ModelKey]*entry), order: list.New()}
 }
 
-// getModel returns the fitted model and raw points for key in the given
-// tenant's cache, sweeping and fitting on a cache miss. Concurrent
-// requests for the same key are deduplicated: exactly one performs the
-// sweep, the rest wait for it (single-flight). Failed fills, a panicking
-// one included, are removed from the cache so a later request can retry.
-// Waiters deliberately observe the server's lifetime, not their own request
-// context: the fill belongs to the cache, not to any single client, so a
-// client disconnecting never poisons the entry for the others.
-func (s *Server) getModel(tenant string, key ModelKey) (core.Model, []core.Point, error) {
+// getModel returns the fitted model for key in the given tenant's cache,
+// sweeping and fitting on a cache miss. Concurrent requests for the same
+// key are deduplicated: exactly one performs the sweep, the rest wait for
+// it (single-flight). Failed fills, a panicking one included, are removed
+// from the cache so a later request can retry. Waiters deliberately
+// observe the server's lifetime, not their own request context: the fill
+// belongs to the cache, not to any single client, so a client
+// disconnecting never poisons the entry for the others.
+func (s *Server) getModel(tenant string, key ModelKey) (core.Model, error) {
 	s.mu.Lock()
 	tc := s.tenantCacheLocked(tenant)
 	if e, ok := tc.entries[key]; ok {
@@ -86,24 +81,23 @@ func (s *Server) getModel(tenant string, key ModelKey) (core.Model, []core.Point
 			s.stats.CacheCoalesced.Add(1)
 		}
 		s.mu.Unlock()
-		f, err := e.wait(s.ctx)
-		return f.model, f.points, err
+		return e.wait(s.ctx)
 	}
 	// Admission control happens exactly here: a miss commits the tenant to
 	// a fill — the expensive, pool-occupying operation the quota meters.
 	// Hits and coalesced waits above are deliberately exempt.
 	if !s.quota.acquire(tenant) {
 		s.mu.Unlock()
-		return nil, nil, s.rejectQuota(tenant)
+		return nil, s.rejectQuota(tenant)
 	}
 	s.stats.CacheMisses.Add(1)
-	e := &entry{call: newCall[fitted](), key: key}
+	e := &entry{call: newCall[core.Model](), key: key}
 	e.elem = tc.order.PushFront(e)
 	tc.entries[key] = e
 	s.evictOverLocked(tc)
 	s.mu.Unlock()
 
-	f, err := e.run(func() (fitted, error) { return s.fill(tenant, key) })
+	m, err := e.run(func() (core.Model, error) { return s.fill(tenant, key) })
 	s.quota.release(tenant)
 	if err != nil {
 		// Drop the failed entry (if it has not been evicted and replaced
@@ -115,7 +109,7 @@ func (s *Server) getModel(tenant string, key ModelKey) (core.Model, []core.Point
 		}
 		s.mu.Unlock()
 	}
-	return f.model, f.points, err
+	return m, err
 }
 
 // tenantCacheLocked returns (creating if needed) the tenant's cache.
@@ -140,76 +134,60 @@ func (s *Server) evictOverLocked(tc *tenantCache) {
 	}
 }
 
-// fill produces the fitted model for key. With a store configured, the fill
-// goes through the store's cross-replica single-flight (modelstore.Fill):
-// the store is consulted before the device is even resolved — a stored
-// sweep is servable when its device can no longer be resolved (a machine
-// file not yet re-uploaded after a restart) — and a miss sweeps exactly
-// once per key across every replica sharing the store, each one mapping
-// the outcome onto its own counters. Storeless servers sweep directly; the
-// cache-entry single-flight already deduplicates within the server.
-func (s *Server) fill(tenant string, key ModelKey) (fitted, error) {
+// fill sweeps and fits the model for key. With a store configured, the
+// points come through the store's cross-replica single-flight
+// (modelstore.Fill): the store is consulted before the device is even
+// resolved — a stored sweep is servable when its device can no longer be
+// resolved (a machine file not yet re-uploaded after a restart) — and a
+// miss sweeps exactly once per key across every replica sharing the store.
+// Each replica counts the outcome on its own counters before it fits, and
+// the fit's error is the answer wherever the points came from: a sweep is
+// a pure function of its store key, so sweeping a stored entry again would
+// reproduce its points and its error. Storeless servers sweep directly;
+// the cache-entry single-flight already deduplicates within the server.
+func (s *Server) fill(tenant string, key ModelKey) (core.Model, error) {
 	sizes := core.LogSizes(key.Lo, key.Hi, key.N)
 	if len(sizes) == 0 {
-		return fitted{}, fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", key.Lo, key.Hi, key.N)
+		return nil, fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", key.Lo, key.Hi, key.N)
 	}
 	sk, stored := s.storeKey(tenant, key)
-	if stored {
-		ent, info, err := s.store.FillProv(s.ctx, sk, func() (modelstore.Swept, error) {
-			if s.transfer {
-				return s.acquireKey(tenant, key, sizes, sk)
-			}
-			return s.sweptKey(tenant, key, sizes)
-		})
-		if info.Corrupt {
-			// Torn or damaged file: the flight re-swept and the spill healed
-			// the entry.
-			s.stats.StoreCorrupt.Add(1)
-		}
+	if !stored {
+		sw, err := s.sweepKey(tenant, key, sizes)
 		if err != nil {
-			return fitted{}, err
+			return nil, err
 		}
-		m, ferr := fitPoints(key.Model, ent.Points)
-		if ferr == nil {
-			switch info.Source {
-			case modelstore.SourceDisk:
-				s.stats.StoreHits.Add(1)
-			case modelstore.SourceSwept:
-				// Write-behind spill: failures keep the in-memory entry valid
-				// and are only counted — durability is best-effort per fill.
-				if info.PutErr != nil {
-					s.stats.StoreErrors.Add(1)
-				} else {
-					s.stats.StoreSpills.Add(1)
-				}
-			case modelstore.SourceJoined:
-				// Another replica's sweep answered us: nothing of ours to
-				// count — the sweeping replica owns the sweep and the spill.
-			}
-			return fitted{m, ent.Points}, nil
-		}
-		if info.Source != modelstore.SourceDisk {
-			return fitted{}, ferr
-		}
-		// A disk entry this model kind cannot be fitted to: fall through to
-		// a clean local sweep; the spill below replaces the entry.
+		return fitPoints(key.Model, sw.Points)
 	}
-	kernel, pts, err := s.sweepKey(tenant, key, sizes)
+	ent, info, err := s.store.Fill(s.ctx, sk, func() (modelstore.Swept, error) {
+		if s.transfer {
+			return s.acquireKey(tenant, key, sizes, sk)
+		}
+		return s.sweepKey(tenant, key, sizes)
+	})
+	if info.Corrupt {
+		// Torn or damaged file: the flight re-swept and the spill healed
+		// the entry.
+		s.stats.StoreCorrupt.Add(1)
+	}
 	if err != nil {
-		return fitted{}, err
+		return nil, err
 	}
-	m, err := fitPoints(key.Model, pts)
-	if err != nil {
-		return fitted{}, err
-	}
-	if stored {
-		if err := s.store.Put(sk, kernel, pts); err != nil {
+	switch info.Source {
+	case modelstore.SourceDisk:
+		s.stats.StoreHits.Add(1)
+	case modelstore.SourceSwept:
+		// Write-behind spill: failures keep the in-memory entry valid and
+		// are only counted — durability is best-effort per fill.
+		if info.PutErr != nil {
 			s.stats.StoreErrors.Add(1)
 		} else {
 			s.stats.StoreSpills.Add(1)
 		}
+	case modelstore.SourceJoined:
+		// Another replica's sweep answered us: nothing of ours to count —
+		// the sweeping replica owns the sweep and the spill.
 	}
-	return fitted{m, pts}, nil
+	return fitPoints(key.Model, ent.Points)
 }
 
 // sweepKey resolves the key's device and runs its benchmark sweep on the
@@ -219,15 +197,10 @@ func (s *Server) fill(tenant string, key ModelKey) (fitted, error) {
 // deterministic for a given key — the property that makes cache entries
 // reproducible, disk-store spills replayable, and service responses
 // byte-identical to the direct library path on every replica.
-func (s *Server) sweepKey(tenant string, key ModelKey, sizes []int) (string, []core.Point, error) {
-	dev, err := s.resolveDevice(tenant, key.Device)
+func (s *Server) sweepKey(tenant string, key ModelKey, sizes []int) (modelstore.Swept, error) {
+	k, err := s.kernelFor(tenant, key)
 	if err != nil {
-		return "", nil, err
-	}
-	meter := platform.NewMeter(dev, noiseConfig(key.Noise), key.Seed)
-	k, err := kernels.NewVirtual(dev.Name(), meter, GEMMBlockFlops)
-	if err != nil {
-		return "", nil, err
+		return modelstore.Swept{}, err
 	}
 	var pts []core.Point
 	err = pool.Do(s.ctx, s.pool, func(context.Context) error {
@@ -240,9 +213,19 @@ func (s *Server) sweepKey(tenant string, key ModelKey, sizes []int) (string, []c
 		return serr
 	})
 	if err != nil {
-		return "", nil, err
+		return modelstore.Swept{}, err
 	}
-	return dev.Name(), pts, nil
+	return modelstore.Swept{Kernel: k.Name(), Points: pts}, nil
+}
+
+// kernelFor builds a fresh virtual kernel for the key's device, its noise
+// meter at the start of the key's seeded sequence.
+func (s *Server) kernelFor(tenant string, key ModelKey) (*kernels.Virtual, error) {
+	dev, err := s.resolveDevice(tenant, key.Device)
+	if err != nil {
+		return nil, err
+	}
+	return kernels.NewVirtual(dev.Name(), platform.NewMeter(dev, noiseConfig(key.Noise), key.Seed), GEMMBlockFlops)
 }
 
 // storeKey maps an in-memory cache key to its disk-store key; ok is false

@@ -45,8 +45,10 @@ func TestFillPanicReleasesKey(t *testing.T) {
 				}
 				done <- r
 			}()
-			_, pts, err := svc.getModel(tenant, key)
-			r.points, r.err = len(pts), err
+			m, err := svc.getModel(tenant, key)
+			if r.err = err; err == nil {
+				r.points = len(m.Points())
+			}
 		}()
 		select {
 		case r := <-done:

@@ -55,12 +55,12 @@ func FuzzCacheStore(f *testing.F) {
 		var canonMu sync.Mutex
 		canonical := map[ModelKey][]PointPayload{}
 		check := func(key ModelKey) {
-			_, pts, err := svc.getModel("fuzz", key)
+			m, err := svc.getModel("fuzz", key)
 			if err != nil {
 				t.Errorf("getModel(%v): %v", key, err)
 				return
 			}
-			got := pointPayloads(pts)
+			got := pointPayloads(m.Points())
 			canonMu.Lock()
 			defer canonMu.Unlock()
 			want, ok := canonical[key]
@@ -108,9 +108,13 @@ func FuzzCacheStore(f *testing.F) {
 				if err != nil {
 					t.Fatalf("reload: %v", err)
 				}
-				_, pts, err := svc2.getModel("fuzz", fuzzKey(op))
-				if err != nil || len(pts) == 0 {
-					t.Errorf("reloaded getModel: %d points, err %v", len(pts), err)
+				m, err := svc2.getModel("fuzz", fuzzKey(op))
+				var n int
+				if err == nil {
+					n = len(m.Points())
+				}
+				if err != nil || n == 0 {
+					t.Errorf("reloaded getModel: %d points, err %v", n, err)
 				}
 				svc2.Close()
 			}

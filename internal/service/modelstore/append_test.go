@@ -267,7 +267,7 @@ func TestSecondWriterAppendsUnderLock(t *testing.T) {
 	expect(s, "torn", after, torn, 1)
 	expect(freshHandle(s.Dir()), "torn, fresh handle", after, torn, 1)
 
-	_, info, err := s.Fill(context.Background(), torn, func() (string, []core.Point, error) { return "k", pts, nil })
+	_, info, err := s.Fill(context.Background(), torn, func() (Swept, error) { return Swept{Kernel: "k", Points: pts}, nil })
 	if err != nil || !info.Corrupt || info.Source != SourceSwept || info.PutErr != nil {
 		t.Fatalf("healing fill: info %+v err %v", info, err)
 	}
@@ -789,8 +789,8 @@ func TestNonFiniteNoiseRefused(t *testing.T) {
 		if err := s.Put(k, "k", curvePoints(1)); err == nil {
 			t.Fatalf("Put accepted noise %v", noise)
 		}
-		if _, _, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
-			return "k", curvePoints(1), nil
+		if _, _, err := s.Fill(context.Background(), k, func() (Swept, error) {
+			return Swept{Kernel: "k", Points: curvePoints(1)}, nil
 		}); err == nil {
 			t.Fatalf("Fill accepted noise %v", noise)
 		}

@@ -50,6 +50,40 @@ func (s *Store) DonorPool(exclude Key) ([]transfer.Donor, error) {
 	return donors, nil
 }
 
+// Acquire warm-starts the cold key k from the store's donor curves
+// (transfer.Acquire) over one snapshot of the donor index: the snapshot
+// decides the empty-pool fallback before any probe, then ranks by cached
+// fingerprint and reads the points of the top cfg.Candidates donors only
+// (0 selects transfer.DefaultCandidates). An unreadable or empty pool is a
+// reason to fall back — a Result with Fallback set — never an error: the
+// full sweep always works. prober is called only when the pool has
+// donors, so such a fallback builds no kernel.
+func (s *Store) Acquire(k Key, sizes []int, prober func() (transfer.Prober, error), cfg transfer.Config) (*transfer.Result, error) {
+	donors, err := s.Donors(k)
+	if err != nil {
+		return &transfer.Result{Fallback: fmt.Sprintf("donor pool unreadable: %v", err)}, nil
+	}
+	if donors.Len() == 0 {
+		return &transfer.Result{Fallback: "the store has no donor curves"}, nil
+	}
+	probe, err := prober()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Candidates == 0 {
+		cfg.Candidates = transfer.DefaultCandidates
+	}
+	return transfer.Acquire(sizes, probe, donors.Source(cfg.Candidates), cfg)
+}
+
+// Provenance is the record a transferred entry carries on its transfer
+// header (Swept.Transfer, PutTransfer): the donor, its time scale, and the
+// benchmark calls made out of the grid's size count.
+func Provenance(res *transfer.Result, grid int) string {
+	return fmt.Sprintf("donor=%s scale=%.6g probes=%d/%d maxdiff=%.3g",
+		res.Donor, res.Scale, res.Measured, grid, res.MaxDisagree)
+}
+
 // StoreStats is a point-in-time census of the store directory.
 type StoreStats struct {
 	// Entries counts keys with a live intact entry; Transferred of those

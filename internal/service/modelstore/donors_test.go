@@ -2,6 +2,7 @@ package modelstore
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"fupermod/internal/core"
+	"fupermod/internal/transfer"
 )
 
 // curvePoints samples a power-law speed curve on a small grid.
@@ -193,14 +195,14 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
-func TestFillProvRecordsProvenance(t *testing.T) {
+func TestFillRecordsProvenance(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKey("cold", "new")
 	prov := "donor=warm/fast scale=2 probes=5/20 maxdiff=0.009"
-	ent, info, err := s.FillProv(context.Background(), key, func() (Swept, error) {
+	ent, info, err := s.Fill(context.Background(), key, func() (Swept, error) {
 		return Swept{Kernel: "k", Points: curvePoints(1), Transfer: prov}, nil
 	})
 	if err != nil {
@@ -214,12 +216,57 @@ func TestFillProvRecordsProvenance(t *testing.T) {
 		t.Fatalf("spilled entry should carry provenance: ok=%v err=%v transfer=%q", ok, err, got.Transfer)
 	}
 	// A second fill is a disk hit and must not re-run the closure.
-	_, info2, err := s.FillProv(context.Background(), key, func() (Swept, error) {
+	_, info2, err := s.Fill(context.Background(), key, func() (Swept, error) {
 		t.Fatal("disk hit must not sweep")
 		return Swept{}, nil
 	})
 	if err != nil || info2.Source != SourceDisk {
 		t.Fatalf("want disk source, got %+v err %v", info2, err)
+	}
+}
+
+// TestAcquireFallsBackBeforeProbing: on an empty donor pool Acquire falls
+// back without building a prober, so a caller pays nothing for the
+// attempt; once the store holds a donor whose curve is a rescaled copy of
+// the cold device's, Acquire probes and transfers from it, and Provenance
+// names it.
+func TestAcquireFallsBackBeforeProbing(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, warm := testKey("cold", "new"), testKey("warm", "old")
+	target := curvePoints(3)
+	sizes := make([]int, len(target))
+	for i, p := range target {
+		sizes[i] = p.D
+	}
+	built := 0
+	prober := func() (transfer.Prober, error) {
+		built++
+		return func(d int) (core.Point, error) {
+			for _, p := range target {
+				if p.D == d {
+					return p, nil
+				}
+			}
+			return core.Point{}, fmt.Errorf("size %d is off the grid", d)
+		}, nil
+	}
+	res, err := s.Acquire(cold, sizes, prober, transfer.Config{})
+	if err != nil || res.Fallback != "the store has no donor curves" || built != 0 {
+		t.Fatalf("empty pool: result %+v, err %v, %d probers built; want the empty-pool fallback and none", res, err, built)
+	}
+	if err := s.Put(warm, "k", curvePoints(1)); err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Acquire(cold, sizes, prober, transfer.Config{})
+	if err != nil || res.Fallback != "" || built != 1 {
+		t.Fatalf("one donor: result %+v, err %v, %d probers built; want a transfer and one", res, err, built)
+	}
+	prov := Provenance(res, len(sizes))
+	if want := "donor=" + DonorID(warm) + " scale="; !strings.HasPrefix(prov, want) || !strings.Contains(prov, fmt.Sprintf("/%d maxdiff=", len(sizes))) {
+		t.Fatalf("provenance %q, want it to open with %q and count probes out of %d", prov, want, len(sizes))
 	}
 }
 

@@ -16,14 +16,21 @@ import (
 // mechanisms here:
 //
 //   - Open dedupes Store instances per directory, so every replica in a
-//     process holds the *same* handle;
+//     process holds the *same* handle, and one index;
 //   - Fill is a single-flight fill keyed by the full store key: the first
-//     caller for a key checks disk, sweeps on a miss, and spills; every
-//     concurrent caller — from any replica on the same handle — blocks and
-//     shares the result. A (tenant, device, grid, precision) key is
-//     therefore swept at most once per process lifetime, no matter how
-//     many replicas race for it, and at most once per fleet lifetime when
-//     the disk write lands before the next process asks.
+//     caller for a key checks disk, sweeps (or warm-starts, see Acquire)
+//     on a miss, and spills; every concurrent caller — from any replica on
+//     the same handle — blocks and shares the result. A (tenant, device,
+//     grid, precision) key is therefore swept at most once per process
+//     lifetime, no matter how many replicas race for it, and at most once
+//     per fleet lifetime when the disk write lands before the next process
+//     asks.
+//
+// Fill is the one way a serving replica sweeps and spills a stored key.
+// The replica fits its model to the entry Fill returns and keeps only the
+// model. A stored entry the model kind cannot fit is not swept again: a
+// sweep is a pure function of its key, so it would return the same points
+// and the same fit error.
 
 var (
 	openMu sync.Mutex
@@ -95,7 +102,8 @@ type Swept struct {
 // concurrent callers of this Store handle. The leader for a key first
 // checks disk (so a replica that missed locally reuses another replica's —
 // or a previous process's — spilled sweep), and only on a disk miss runs
-// the caller-supplied sweep, spilling the result write-behind. Concurrent
+// the caller-supplied sweep, spilling the result write-behind; a non-empty
+// Swept.Transfer is recorded on the spilled entry's header. Concurrent
 // callers for the same key block until the leader finishes and share its
 // result; a failed fill is forgotten, so the next caller retries cleanly.
 //
@@ -107,19 +115,7 @@ type Swept struct {
 // uncontained would leak the flight entry forever — every waiting and
 // future caller of the key would block on a fill that can no longer
 // finish.
-func (s *Store) Fill(ctx context.Context, k Key, sweep func() (kernel string, pts []core.Point, err error)) (Entry, FillInfo, error) {
-	return s.FillProv(ctx, k, func() (Swept, error) {
-		kernel, pts, err := sweep()
-		return Swept{Kernel: kernel, Points: pts}, err
-	})
-}
-
-// FillProv is Fill for acquisition paths that carry provenance: the
-// closure returns a Swept, and a non-empty Transfer is recorded on the
-// spilled entry's header. It is the entry point the transfer-enabled
-// service uses; the single-flight, disk-first and write-behind semantics
-// are exactly Fill's.
-func (s *Store) FillProv(ctx context.Context, k Key, sweep func() (Swept, error)) (ent Entry, info FillInfo, err error) {
+func (s *Store) Fill(ctx context.Context, k Key, sweep func() (Swept, error)) (ent Entry, info FillInfo, err error) {
 	if err := k.Validate(); err != nil {
 		return Entry{}, FillInfo{}, err
 	}

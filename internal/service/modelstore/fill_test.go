@@ -52,9 +52,9 @@ func TestFillReadsDiskBeforeSweeping(t *testing.T) {
 	if err := s.Put(k, "kern", fillPoints()); err != nil {
 		t.Fatal(err)
 	}
-	ent, info, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
+	ent, info, err := s.Fill(context.Background(), k, func() (Swept, error) {
 		t.Error("sweep ran despite an intact entry on disk")
-		return "", nil, nil
+		return Swept{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,10 +84,10 @@ func TestFillSingleFlightAcrossCallers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			entries[i], infos[i], errs[i] = s.Fill(context.Background(), k, func() (string, []core.Point, error) {
+			entries[i], infos[i], errs[i] = s.Fill(context.Background(), k, func() (Swept, error) {
 				sweeps.Add(1)
 				<-release // hold the flight open so the others must join
-				return "kern", fillPoints(), nil
+				return Swept{Kernel: "kern", Points: fillPoints()}, nil
 			})
 		}(i)
 	}
@@ -143,7 +143,7 @@ func TestFillLeaderPanicWakesJoiners(t *testing.T) {
 	boom := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
+		_, _, err := s.Fill(context.Background(), k, func() (Swept, error) {
 			<-boom // hold the flight open until the joiners are waiting
 			panic("sweep exploded")
 		})
@@ -163,8 +163,8 @@ func TestFillLeaderPanicWakesJoiners(t *testing.T) {
 	joinErrs := make(chan error, joiners)
 	for i := 0; i < joiners; i++ {
 		go func() {
-			_, _, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
-				return "kern", fillPoints(), nil
+			_, _, err := s.Fill(context.Background(), k, func() (Swept, error) {
+				return Swept{Kernel: "kern", Points: fillPoints()}, nil
 			})
 			joinErrs <- err
 		}()
@@ -187,8 +187,8 @@ func TestFillLeaderPanicWakesJoiners(t *testing.T) {
 
 	// The key is not poisoned: the next caller elects itself leader and
 	// the healthy sweep lands.
-	ent, info, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
-		return "kern", fillPoints(), nil
+	ent, info, err := s.Fill(context.Background(), k, func() (Swept, error) {
+		return Swept{Kernel: "kern", Points: fillPoints()}, nil
 	})
 	if err != nil {
 		t.Fatalf("fill after a contained panic: %v", err)
@@ -217,8 +217,8 @@ func TestFillHealsCorruptEntry(t *testing.T) {
 	if err := os.WriteFile(s.Path(k), data[:len(data)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ent, info, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
-		return "kern", fillPoints(), nil
+	ent, info, err := s.Fill(context.Background(), k, func() (Swept, error) {
+		return Swept{Kernel: "kern", Points: fillPoints()}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,13 +244,13 @@ func TestFillFailureForgetsFlight(t *testing.T) {
 	}
 	k := testKey("fill", "cpu-flaky")
 	boom := errors.New("sweep exploded")
-	if _, _, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
-		return "", nil, boom
+	if _, _, err := s.Fill(context.Background(), k, func() (Swept, error) {
+		return Swept{}, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	ent, info, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
-		return "kern", fillPoints(), nil
+	ent, info, err := s.Fill(context.Background(), k, func() (Swept, error) {
+		return Swept{Kernel: "kern", Points: fillPoints()}, nil
 	})
 	if err != nil {
 		t.Fatalf("retry after failed fill: %v", err)
@@ -273,10 +273,10 @@ func TestFillJoinerHonoursContext(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.Fill(context.Background(), k, func() (string, []core.Point, error) {
+		_, _, err := s.Fill(context.Background(), k, func() (Swept, error) {
 			close(started)
 			<-release
-			return "kern", fillPoints(), nil
+			return Swept{Kernel: "kern", Points: fillPoints()}, nil
 		})
 		done <- err
 	}()
@@ -297,8 +297,8 @@ func TestFillRejectsInvalidKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.Fill(context.Background(), Key{}, func() (string, []core.Point, error) {
-		return "", nil, fmt.Errorf("must not run")
+	_, _, err = s.Fill(context.Background(), Key{}, func() (Swept, error) {
+		return Swept{}, fmt.Errorf("must not run")
 	})
 	if err == nil {
 		t.Fatal("Fill accepted an invalid key")

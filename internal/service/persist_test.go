@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -264,6 +265,35 @@ func TestTornStoreFileReSweeps(t *testing.T) {
 	}
 	if snap3 := getStats(t, ts3.URL); snap3.Sweeps != 0 {
 		t.Errorf("healed store still re-swept %d times", snap3.Sweeps)
+	}
+}
+
+// TestUnfittableEntryIsNotSweptAgain: on a grid whose two sizes round to
+// one float64 knot (2⁵³ and 2⁵³+1) the sweep runs and spills, but no
+// piecewise model fits its points. Every request answers the fit's error,
+// the same 400: the first sweeps and spills the entry, each later one reads
+// it back from the store and sweeps nothing — a sweep is a pure function of
+// its key, so sweeping again would reproduce the same points and error.
+func TestUnfittableEntryIsNotSweptAgain(t *testing.T) {
+	const huge = 1 << 53
+	req := MeasureRequest{Device: DeviceSpec{Preset: "fast", Seed: 1}, Grid: Grid{Lo: huge, Hi: huge + 1, N: 2}}
+	_, ts := newStoreServer(t, t.TempDir(), Config{})
+	var first []byte
+	for i := 1; i <= 3; i++ {
+		status, body := postJSON(t, ts.URL+"/v1/measure", req)
+		if status != http.StatusBadRequest {
+			t.Fatalf("measure %d: status %d: %s; want 400", i, status, body)
+		}
+		if i == 1 {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Errorf("measure %d answered %s, measure 1 %s", i, body, first)
+		}
+		snap := getStats(t, ts.URL)
+		if snap.Sweeps != 1 || snap.StoreSpills != 1 || snap.StoreHits != int64(i-1) {
+			t.Errorf("after measure %d: sweeps %d, store_spills %d, store_hits %d; want 1, 1, %d",
+				i, snap.Sweeps, snap.StoreSpills, snap.StoreHits, i-1)
+		}
 	}
 }
 

@@ -31,12 +31,8 @@ type Server struct {
 	batchWindow time.Duration
 	precision   core.Precision
 
-	// Transfer options (normalised in New); transfer is never true
-	// without a store.
-	transfer       bool
-	transferProbes int
-	transferBudget int
-	transferTol    float64
+	// transfer is never true without a store.
+	transfer bool
 
 	pool  *pool.Pool
 	store *modelstore.Store
@@ -79,21 +75,8 @@ func New(cfg Config) (*Server, error) {
 	if prec == (core.Precision{}) {
 		prec = DefaultSweepPrecision
 	}
-	if cfg.Transfer {
-		if cfg.StoreDir == "" {
-			return nil, fmt.Errorf("service: Transfer requires StoreDir (the store is the donor pool)")
-		}
-		if cfg.TransferProbes < 0 || cfg.TransferBudget < 0 || cfg.TransferTol < 0 {
-			return nil, fmt.Errorf("service: transfer options must be non-negative")
-		}
-	}
-	transferProbes := cfg.TransferProbes
-	if transferProbes == 0 {
-		transferProbes = DefaultTransferProbes
-	}
-	transferTol := cfg.TransferTol
-	if transferTol == 0 {
-		transferTol = DefaultTransferTol
+	if cfg.Transfer && cfg.StoreDir == "" {
+		return nil, fmt.Errorf("service: Transfer requires StoreDir (the store is the donor pool)")
 	}
 	var st *modelstore.Store
 	if cfg.StoreDir != "" {
@@ -104,23 +87,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cacheSize:      cacheSize,
-		batchWindow:    window,
-		precision:      prec,
-		transfer:       cfg.Transfer,
-		transferProbes: transferProbes,
-		transferBudget: cfg.TransferBudget,
-		transferTol:    transferTol,
-		pool:           pool.New(cfg.Workers),
-		store:          st,
-		quota:          newQuotas(cfg.QuotaSlots, cfg.QuotaWeights),
-		ctx:            ctx,
-		cancel:         cancel,
-		tenants:        make(map[string]*tenantCache),
-		batches:        make(map[string]*call[any]),
-		window:         adaptiveWindow{max: window},
-		comms:          make(map[string]*call[commmodel.CommModel]),
-		machines:       make(map[string]*tenantMachines),
+		cacheSize:   cacheSize,
+		batchWindow: window,
+		precision:   prec,
+		transfer:    cfg.Transfer,
+		pool:        pool.New(cfg.Workers),
+		store:       st,
+		quota:       newQuotas(cfg.QuotaSlots, cfg.QuotaWeights),
+		ctx:         ctx,
+		cancel:      cancel,
+		tenants:     make(map[string]*tenantCache),
+		batches:     make(map[string]*call[any]),
+		window:      adaptiveWindow{max: window},
+		comms:       make(map[string]*call[commmodel.CommModel]),
+		machines:    make(map[string]*tenantMachines),
 	}
 	if st != nil {
 		s.preload()
@@ -160,8 +140,9 @@ func (s *Server) preload() {
 		}
 		tc := s.tenantCacheLocked(ent.Key.Tenant)
 		e := &entry{
-			// Born published: the stored sweep is the fill's outcome.
-			call: &call[fitted]{done: make(chan struct{}), val: fitted{m, ent.Points}},
+			// Born published: the model fitted to the stored sweep is the
+			// fill's outcome.
+			call: &call[core.Model]{done: make(chan struct{}), val: m},
 			key: ModelKey{
 				Device: ent.Key.Device,
 				Seed:   ent.Key.Seed,

@@ -82,13 +82,13 @@ const DefaultBatchWindow = time.Millisecond
 // MaxDevices bounds the number of devices in one partition request.
 const MaxDevices = 64
 
-// DefaultTransferProbes is the initial probe count of a transferred fill
-// when Config.TransferProbes is 0.
+// DefaultTransferProbes is the initial probe count of a transferred fill.
 const DefaultTransferProbes = 4
 
-// DefaultTransferTol is the convergence tolerance of a transferred fill
-// when Config.TransferTol is 0 — the served accuracy bound: synthesized
-// points agree with the donor-vs-interpolant consensus to within ~2%.
+// DefaultTransferTol is the convergence tolerance of a transferred fill —
+// the served accuracy bound: synthesized points agree with the
+// donor-vs-interpolant consensus to within ~2%. A transferred fill's probe
+// budget is a quarter of the size grid.
 const DefaultTransferTol = 0.02
 
 // Config parametrises New.
@@ -126,16 +126,6 @@ type Config struct {
 	// pool). Off by default: transferred models are bounded
 	// approximations, not raw measurements.
 	Transfer bool
-	// TransferProbes is the initial probe count k (0 selects
-	// DefaultTransferProbes; must be >= 2 otherwise).
-	TransferProbes int
-	// TransferBudget caps total benchmark calls per transferred fill,
-	// probes included; 0 selects a quarter of the size grid.
-	TransferBudget int
-	// TransferTol is the convergence tolerance on the donor-vs-interpolant
-	// disagreement (≈ max relative time error of the synthesized points);
-	// 0 selects DefaultTransferTol.
-	TransferTol float64
 }
 
 // Handler returns the service's HTTP routes.
@@ -383,37 +373,39 @@ func pointPayloads(pts []core.Point) []PointPayload {
 }
 
 // resolveModel decodes a measure or model request and resolves its fitted
-// model through the tenant cache.
-func (s *Server) resolveModel(w http.ResponseWriter, r *http.Request) (ModelKey, core.Model, []core.Point, error) {
+// model through the tenant cache. The model's points are the sweep's: every
+// model kind keeps its points sorted by size, one per size, and a sweep's
+// sizes are strictly increasing.
+func (s *Server) resolveModel(w http.ResponseWriter, r *http.Request) (ModelKey, core.Model, error) {
 	var req MeasureRequest
 	if err := decode(w, r, &req, &req.Tenant); err != nil {
-		return ModelKey{}, nil, nil, err
+		return ModelKey{}, nil, err
 	}
 	key, err := s.keyFor(req.Tenant, req.Device, req.Grid, req.Model)
 	if err != nil {
-		return ModelKey{}, nil, nil, err
+		return ModelKey{}, nil, err
 	}
-	m, pts, err := s.getModel(req.Tenant, key)
+	m, err := s.getModel(req.Tenant, key)
 	if err != nil {
-		return ModelKey{}, nil, nil, asRequestError(err, "%v", err)
+		return ModelKey{}, nil, asRequestError(err, "%v", err)
 	}
-	return key, m, pts, nil
+	return key, m, nil
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) error {
-	key, _, pts, err := s.resolveModel(w, r)
+	key, m, err := s.resolveModel(w, r)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, MeasureResponse{
 		Device: key.Device,
 		Model:  key.Model,
-		Points: pointPayloads(pts),
+		Points: pointPayloads(m.Points()),
 	})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) error {
-	key, m, pts, err := s.resolveModel(w, r)
+	key, m, err := s.resolveModel(w, r)
 	if err != nil {
 		return err
 	}
@@ -432,7 +424,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, ModelResponse{
 		Device: key.Device,
 		Model:  key.Model,
-		Points: pointPayloads(pts),
+		Points: pointPayloads(m.Points()),
 		Eval:   eval,
 	})
 }
@@ -467,7 +459,7 @@ func (s *Server) preparePartition(req *PartitionRequest) (func() (any, error), s
 		if err != nil {
 			return nil, "", err
 		}
-		m, _, err := s.getModel(req.Tenant, key)
+		m, err := s.getModel(req.Tenant, key)
 		if err != nil {
 			return nil, "", asRequestError(err, "device %d (%s): %v", i, dev.Preset, err)
 		}
