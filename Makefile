@@ -54,15 +54,18 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRing$$' -fuzztime=$(FUZZTIME) ./internal/service/ring
 
 ## service: vet + race-test the partition service (incl. the on-disk model
-## store) and its CLI end to end (-count=1 forces a fresh run: these tests
-## assert live concurrency — single-flight, batching, quotas, drain — that
-## a cached pass would not exercise), then, ten times over, the tests in
-## which fills race for one cache entry or store flight: single-flight,
-## a panicking fill, and replicas sharing one store
+## store), the single-flight package it coalesces with (internal/flight)
+## and its CLI end to end (-count=1 forces a fresh run: these tests assert
+## live concurrency — single-flight, batching, quotas, drain — that a
+## cached pass would not exercise), then, ten times over, the flight
+## package's tests and the tests in which requests race for one cache
+## entry, store flight or batch: single-flight, a panicking fill, replicas
+## sharing one store, and a request joining a run in flight
 service:
-	$(GO) vet ./internal/service/... ./cmd/fupermod-serve
-	$(GO) test -race -count=1 ./internal/service/... ./cmd/fupermod-serve
-	$(GO) test -race -count=10 -run 'SingleFlight|FillPanic|StoreCoherence' ./internal/service
+	$(GO) vet ./internal/service/... ./internal/flight ./cmd/fupermod-serve
+	$(GO) test -race -count=1 ./internal/service/... ./internal/flight ./cmd/fupermod-serve
+	$(GO) test -race -count=10 ./internal/flight
+	$(GO) test -race -count=10 -run 'SingleFlight|FillPanic|StoreCoherence|JoinsRunInFlight' ./internal/service
 
 ## route: vet + race-test the consistent-hash ring and the routing tier
 ## CLI end to end over real backends, then, ten times over, the failover

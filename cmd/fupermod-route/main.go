@@ -291,25 +291,5 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	fmt.Fprintf(stdout, "fupermod-route: listening on %s (%d backends)\n", ln.Addr(), len(backends))
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(stdout, "fupermod-route: draining (up to %s)\n", *shutdownTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(stdout, "fupermod-route: stopped")
-	return nil
+	return service.ServeAndDrain(ctx, srv, ln, *shutdownTimeout, stdout, "fupermod-route")
 }

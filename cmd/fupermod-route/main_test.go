@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -464,5 +465,60 @@ func TestRouteAllBackendsDead(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Fatalf("want the service error envelope, got %s", body)
+	}
+}
+
+// TestRouteDrainsIdleDials: connections dialled but never used do not hold
+// the router's drain. With three of them open and nothing in flight, run
+// returns at once after cancel, not after http.Server's 5 s allowance for
+// a connection to send its first request.
+func TestRouteDrainsIdleDials(t *testing.T) {
+	backend := newBackend(t, service.Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-backend", backend.URL}, &out)
+	}()
+	var addr string
+	deadline := time.Now().Add(5 * time.Second)
+	for addr == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("router did not report a listen address; output: %q", out.String())
+		}
+		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
+			addr = m[1]
+		} else {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	// The listener hands out connections in the order they were dialled,
+	// so once a later connection is served the idle ones are accepted.
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("router exited with %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("router did not exit after context cancellation")
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Errorf("drain with three idle dials took %s, want under 1 s", d)
 	}
 }

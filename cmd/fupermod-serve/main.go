@@ -1,10 +1,11 @@
 // Command fupermod-serve runs the multi-tenant partition service: a
 // long-lived HTTP+JSON server answering measure → model → partition
 // requests with per-tenant model caches, single-flight sweep deduplication
-// and partition-request batching, all executing on one bounded worker
-// pool. It is the serving end of the FuPerMod tool chain — where
-// fupermod-bench/-model/-partition run the workflow once, the service
-// answers it continuously for many clients.
+// and batching of identical requests in flight (an identical request that
+// arrives while a solve runs shares it; none waits for company), all
+// executing on one bounded worker pool. It is the serving end of the
+// FuPerMod tool chain — where fupermod-bench/-model/-partition run the
+// workflow once, the service answers it continuously for many clients.
 //
 // With -store-dir the service keeps an on-disk model store: every sweep is
 // spilled there and reloaded on restart, so a bounced server answers from
@@ -45,7 +46,8 @@
 //	  "grid": 32
 //	}'
 //
-// The server drains in-flight requests and exits cleanly on SIGINT/SIGTERM.
+// The server drains in-flight requests and exits cleanly on SIGINT/SIGTERM;
+// connections that never sent a byte are closed at once.
 package main
 
 import (
@@ -86,7 +88,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		addr            = fs.String("addr", "127.0.0.1:8080", "listen address")
 		workers         = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for sweeps, fits and solves")
 		cacheSize       = fs.Int("cache-size", service.DefaultCacheSize, "fitted models kept per tenant (LRU)")
-		batchWindow     = fs.Duration("batch-window", service.DefaultBatchWindow, "window for batching identical partition requests")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT")
 		storeDir        = fs.String("store-dir", "", "directory of the on-disk model store (empty disables persistence)")
 		quotaSlots      = fs.Int("quota-slots", 0, "in-flight sweep slots per quota weight unit (0 disables admission control)")
@@ -123,9 +124,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *cacheSize <= 0 {
 		return fmt.Errorf("-cache-size must be positive, got %d", *cacheSize)
 	}
-	if *batchWindow <= 0 {
-		return fmt.Errorf("-batch-window must be positive, got %s", *batchWindow)
-	}
 	if *quotaSlots < 0 {
 		return fmt.Errorf("-quota-slots must be non-negative, got %d", *quotaSlots)
 	}
@@ -139,7 +137,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	svc, err := service.New(service.Config{
 		Workers:      *workers,
 		CacheSize:    *cacheSize,
-		BatchWindow:  *batchWindow,
 		StoreDir:     *storeDir,
 		QuotaSlots:   *quotaSlots,
 		QuotaWeights: quotaWeights,
@@ -162,27 +159,5 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	fmt.Fprintf(stdout, "fupermod-serve: listening on %s\n", ln.Addr())
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		// Serve never returns nil; surface whatever tore the listener down.
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(stdout, "fupermod-serve: draining (up to %s)\n", *shutdownTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		// The grace period expired with requests still in flight.
-		srv.Close()
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(stdout, "fupermod-serve: stopped")
-	return nil
+	return service.ServeAndDrain(ctx, srv, ln, *shutdownTimeout, stdout, "fupermod-serve")
 }

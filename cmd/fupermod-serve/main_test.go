@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -32,11 +33,10 @@ func (b *syncBuffer) String() string {
 
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
-		{"-addr"},                        // missing value
-		{"-workers", "x"},                // non-integer
-		{"positional"},                   // unexpected argument
-		{"-addr", "127.0.0.1:notaport"},  // unusable listen address
-		{"-batch-window", "not-a-delay"}, // bad duration
+		{"-addr"},                       // missing value
+		{"-workers", "x"},               // non-integer
+		{"positional"},                  // unexpected argument
+		{"-addr", "127.0.0.1:notaport"}, // unusable listen address
 		// Non-positive values are configuration typos, not requests for the
 		// defaults; the server must refuse to start rather than silently
 		// substitute them (regression: these used to boot with defaults).
@@ -44,8 +44,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-workers", "-3"},
 		{"-cache-size", "0"},
 		{"-cache-size", "-1"},
-		{"-batch-window", "0s"},
-		{"-batch-window", "-1ms"},
 		{"-quota-slots", "-1"},
 		{"-quota-weight", "team-a=2"},                      // weight without -quota-slots
 		{"-quota-slots", "1", "-quota-weight", "team-a"},   // missing =w
@@ -218,5 +216,59 @@ func TestRunRejectsBusyAddress(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("first server failed to drain: %v", err)
+	}
+}
+
+// TestRunDrainsIdleDials: connections dialled but never used do not hold
+// the drain. With three of them open and nothing in flight, run returns
+// at once after cancel, not after http.Server's 5 s allowance for a
+// connection to send its first request.
+func TestRunDrainsIdleDials(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1"}, &out)
+	}()
+	var addr string
+	deadline := time.Now().Add(5 * time.Second)
+	for addr == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("server did not report a listen address; output: %q", out.String())
+		}
+		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
+			addr = m[1]
+		} else {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	// The listener hands out connections in the order they were dialled,
+	// so once a later connection is served the idle ones are accepted.
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after cancel, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not exit after context cancellation")
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Errorf("drain with three idle dials took %s, want under 1 s", d)
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,35 +13,33 @@ import (
 // recovered panic as an error instead of blocking until the server shuts
 // down.
 func TestBatchedPanicWakesFollowers(t *testing.T) {
-	svc, err := New(Config{BatchWindow: 500 * time.Millisecond})
+	svc, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
 	const key, followers = "test|panicking-run", 4
-	run := func() (any, error) { panic("boom") }
+	started, release := make(chan struct{}), make(chan struct{})
 	errs := make(chan error, followers+1)
-	go func() { errs <- batchedRecovering(svc, key, run) }()
+	go func() {
+		errs <- batchedRecovering(svc, key, func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
 
-	// Followers join once the leader has registered the batch and is
-	// sleeping out its window.
-	registered := time.After(5 * time.Second)
-	for {
-		svc.batchMu.Lock()
-		_, ok := svc.batches[key]
-		svc.batchMu.Unlock()
-		if ok {
-			break
-		}
-		select {
-		case <-registered:
-			t.Fatal("leader never registered its batch")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	// Followers join while the leader is inside its run.
+	<-started
 	for i := 0; i < followers; i++ {
-		go func() { errs <- batchedRecovering(svc, key, run) }()
+		go func() {
+			errs <- batchedRecovering(svc, key, func() (any, error) {
+				return nil, errors.New("a follower ran instead of joining")
+			})
+		}()
 	}
+	waitUntil(t, "the followers to join", func() bool { return svc.stats.BatchJoined.Load() == followers })
+	close(release)
 
 	deadline := time.After(5 * time.Second)
 	for i := 0; i < followers+1; i++ {
@@ -72,57 +69,4 @@ func batchedRecovering(s *Server, key string, run func() (any, error)) (err erro
 	}()
 	_, err = s.batched(key, run)
 	return err
-}
-
-// TestCallPublishes: the coalescing primitive behind the batcher, the
-// cache entries and the comm-calibration cache. Every waiter receives the
-// run's outcome, a panicking run's included as its error, and a waiter
-// whose context ends first gets a shutdown error instead of blocking.
-func TestCallPublishes(t *testing.T) {
-	ctx := context.Background()
-	const waiters = 3
-	// outcomes runs f on a fresh call with waiters blocked on it, and
-	// returns the run's error followed by each waiter's.
-	outcomes := func(f func() (int, error)) []error {
-		c := newCall[int]()
-		errs := make(chan error, waiters)
-		for i := 0; i < waiters; i++ {
-			go func() {
-				v, err := c.wait(ctx)
-				if err == nil && v != 42 {
-					err = fmt.Errorf("waiter got %d, want 42", v)
-				}
-				errs <- err
-			}()
-		}
-		v, err := c.run(f)
-		if err == nil && v != 42 {
-			err = fmt.Errorf("run returned %d, want 42", v)
-		}
-		out := []error{err}
-		for i := 0; i < waiters; i++ {
-			select {
-			case err := <-errs:
-				out = append(out, err)
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%d of %d waiters still blocked", waiters-i, waiters)
-			}
-		}
-		return out
-	}
-	for i, err := range outcomes(func() (int, error) { return 42, nil }) {
-		if err != nil {
-			t.Errorf("caller %d: %v", i, err)
-		}
-	}
-	for i, err := range outcomes(func() (int, error) { panic("boom") }) {
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Errorf("caller %d of a panicking run: err %v, want the panic", i, err)
-		}
-	}
-	ended, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := newCall[int]().wait(ended); !errors.Is(err, context.Canceled) {
-		t.Errorf("wait on an ended context: %v, want context.Canceled", err)
-	}
 }

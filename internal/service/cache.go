@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fupermod/internal/core"
+	"fupermod/internal/flight"
 	"fupermod/internal/kernels"
 	"fupermod/internal/model"
 	"fupermod/internal/platform"
@@ -42,7 +43,7 @@ func (k ModelKey) String() string {
 // Closing done is the happens-before edge making the fitted model safe for
 // concurrent read-only use by any number of partition solves.
 type entry struct {
-	*call[core.Model]
+	*flight.Call[core.Model]
 	key  ModelKey
 	elem *list.Element
 }
@@ -75,13 +76,13 @@ func (s *Server) getModel(tenant string, key ModelKey) (core.Model, error) {
 	if e, ok := tc.entries[key]; ok {
 		tc.order.MoveToFront(e.elem)
 		select {
-		case <-e.done:
+		case <-e.Done():
 			s.stats.CacheHits.Add(1)
 		default:
 			s.stats.CacheCoalesced.Add(1)
 		}
 		s.mu.Unlock()
-		return e.wait(s.ctx)
+		return e.Wait(s.ctx)
 	}
 	// Admission control happens exactly here: a miss commits the tenant to
 	// a fill — the expensive, pool-occupying operation the quota meters.
@@ -91,13 +92,13 @@ func (s *Server) getModel(tenant string, key ModelKey) (core.Model, error) {
 		return nil, s.rejectQuota(tenant)
 	}
 	s.stats.CacheMisses.Add(1)
-	e := &entry{call: newCall[core.Model](), key: key}
+	e := &entry{Call: flight.NewCall[core.Model](), key: key}
 	e.elem = tc.order.PushFront(e)
 	tc.entries[key] = e
 	s.evictOverLocked(tc)
 	s.mu.Unlock()
 
-	m, err := e.run(func() (core.Model, error) { return s.fill(tenant, key) })
+	m, err := e.Run(func() (core.Model, error) { return s.fill(tenant, key) })
 	s.quota.release(tenant)
 	if err != nil {
 		// Drop the failed entry (if it has not been evicted and replaced
@@ -207,7 +208,7 @@ func (s *Server) sweepKey(tenant string, key ModelKey, sizes []int) (modelstore.
 		s.stats.Sweeps.Add(1)
 		start := time.Now()
 		var serr error
-		pts, serr = core.Sweep(k, sizes, s.precision)
+		pts, serr = core.Sweep(k, sizes, DefaultSweepPrecision)
 		s.stats.sweepNanos.Add(int64(time.Since(start)))
 		s.stats.sweepsDone.Add(1)
 		return serr
@@ -231,7 +232,8 @@ func (s *Server) kernelFor(tenant string, key ModelKey) (*kernels.Virtual, error
 // storeKey maps an in-memory cache key to its disk-store key; ok is false
 // when the server runs without a store. The model kind is dropped — the
 // stored artefact is the measurement — and the server's sweep precision is
-// folded in, so servers with different stopping rules never share entries.
+// folded in, so a sweep stored under another stopping rule (a fupermod-bench
+// run with its own precision) is never served.
 func (s *Server) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
 	if s.store == nil {
 		return modelstore.Key{}, false
@@ -242,7 +244,7 @@ func (s *Server) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
 		Seed:   key.Seed,
 		Noise:  key.Noise,
 		Lo:     key.Lo, Hi: key.Hi, N: key.N,
-		Prec: modelstore.EncodePrecision(s.precision),
+		Prec: modelstore.EncodePrecision(DefaultSweepPrecision),
 	}, true
 }
 

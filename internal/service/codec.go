@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 )
 
@@ -13,9 +14,17 @@ func EncodeJSON(w io.Writer, v any) error {
 }
 
 // DecodeJSON parses one JSON value from r into v, rejecting unknown
-// fields.
+// fields and anything but whitespace after the value: json.Unmarshal, which
+// fupermod-route reads the tenant with, refuses trailing data too, so a
+// body the router cannot route is one the service does not serve.
 func DecodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }

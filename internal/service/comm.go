@@ -71,28 +71,19 @@ func (s *Server) commModel(c *CommSpec, devices int) (commmodel.CommModel, strin
 	tag := fmt.Sprintf("%s/%s/%s/%d/%g", kind, spec.Op, spec.NetName, spec.Ranks, c.BytesPerUnit)
 	cacheKey := fmt.Sprintf("%s|%s|%s|%d", kind, spec.Op, spec.NetName, spec.Ranks)
 
-	s.commMu.Lock()
-	if cl, ok := s.comms[cacheKey]; ok {
-		s.commMu.Unlock()
-		m, err := cl.wait(s.ctx)
+	cl, joined := s.comms.Join(cacheKey)
+	if joined {
+		m, err := cl.Wait(s.ctx)
 		return m, tag, err
 	}
-	cl := newCall[commmodel.CommModel]()
-	s.comms[cacheKey] = cl
-	s.commMu.Unlock()
 	s.stats.CommCalibrations.Add(1)
-	m, err := cl.run(func() (commmodel.CommModel, error) {
+	m, err := s.comms.Keep(cacheKey, cl, func() (commmodel.CommModel, error) {
 		cal, err := commmodel.Calibrate(s.ctx, s.pool, spec, nil, commmodel.DefaultPrecision)
 		if err != nil {
 			return nil, err
 		}
 		return cal.Fit(kind, false)
 	})
-	if err != nil {
-		s.commMu.Lock()
-		delete(s.comms, cacheKey)
-		s.commMu.Unlock()
-	}
 	return m, tag, err
 }
 

@@ -13,7 +13,7 @@ import (
 // its comm fingerprint, and serves repeat requests from the calibration
 // cache.
 func TestPartitionWithComm(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	req := PartitionRequest{
 		Tenant:  "comm",
 		Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}},
@@ -72,7 +72,7 @@ func TestPartitionWithComm(t *testing.T) {
 // TestPartitionWithCommConcurrentSingleFlight: concurrent first comm
 // requests trigger exactly one calibration.
 func TestPartitionWithCommConcurrentSingleFlight(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	req := PartitionRequest{
 		Tenant:  "commsf",
 		Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}},
@@ -109,7 +109,7 @@ func TestPartitionWithCommConcurrentSingleFlight(t *testing.T) {
 
 // TestPartitionCommValidation: malformed comm specs are rejected with 400.
 func TestPartitionCommValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	base := PartitionRequest{
 		Tenant:  "commv",
 		Devices: []DeviceSpec{{Preset: "fast", Seed: 1}},

@@ -17,7 +17,8 @@ import (
 //	/v1/dynpart  runs dynamic data partitioning — iterative benchmarking of
 //	             partial models until the distribution stabilises. The run
 //	             is expensive (it sweeps) and therefore quota-metered and
-//	             batched: identical runs within a window share one result.
+//	             batched: an identical run that arrives while one is in
+//	             flight shares its result.
 //	/v1/balance  replays an application's observed per-iteration times
 //	             through the dynamic load balancer. The replay is stateless
 //	             — the full observation history travels in the request — so
@@ -124,7 +125,7 @@ func (s *Server) prepareDynpart(req *DynpartRequest) (func() (any, error), strin
 		res, err := dynamic.PartitionDynamic(kernelSet, req.D, dynamic.Config{
 			Algorithm: algo,
 			NewModel:  func() core.Model { m, _ := model.New(req.Model); return m },
-			Precision: s.precision,
+			Precision: DefaultSweepPrecision,
 			Eps:       req.Eps,
 			MaxIters:  req.MaxIters,
 		})

@@ -44,7 +44,7 @@ func FuzzCacheStore(f *testing.F) {
 			data = data[:24]
 		}
 		dir := t.TempDir()
-		svc, err := New(Config{Workers: 2, CacheSize: 2, BatchWindow: -1, StoreDir: dir})
+		svc, err := New(Config{Workers: 2, CacheSize: 2, StoreDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func FuzzCacheStore(f *testing.F) {
 				}
 			case 3: // reload: an independent server over the same store
 				wg.Wait() // writers quiesce so the reload sees settled files
-				svc2, err := New(Config{Workers: 1, CacheSize: 2, BatchWindow: -1, StoreDir: dir})
+				svc2, err := New(Config{Workers: 1, CacheSize: 2, StoreDir: dir})
 				if err != nil {
 					t.Fatalf("reload: %v", err)
 				}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"fupermod/internal/matpart"
 )
@@ -181,13 +180,14 @@ func TestMatpartValidation(t *testing.T) {
 	}
 }
 
-// TestMatpartBatches: identical arrangements within the batch window share
-// one computation — the endpoint rides the op-prefixed batcher like every
+// TestMatpartBatches: identical arrangements in flight together share one
+// computation — the endpoint rides the op-prefixed batcher like every
 // other solve.
 func TestMatpartBatches(t *testing.T) {
-	svc, ts := newTestServer(t, Config{BatchWindow: 100 * time.Millisecond})
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	req := matpartReq("batchers")
 	before := svc.snapshot().MatpartRuns
+	unplug := plugPool(t, svc)
 
 	const waves = 12
 	results := make([][]byte, waves)
@@ -202,6 +202,8 @@ func TestMatpartBatches(t *testing.T) {
 			}
 		}(i)
 	}
+	waitUntil(t, "the requests to join one batch", func() bool { return svc.stats.BatchJoined.Load() == waves-1 })
+	unplug()
 	wg.Wait()
 	for i, body := range results {
 		if body == nil {

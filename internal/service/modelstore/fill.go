@@ -2,7 +2,6 @@ package modelstore
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"sync"
 
@@ -50,7 +49,7 @@ func openShared(dir string) *Store {
 	if s, ok := opened[key]; ok {
 		return s
 	}
-	s := &Store{dir: dir, flights: make(map[Key]*flight)}
+	s := &Store{dir: dir}
 	opened[key] = s
 	return s
 }
@@ -81,14 +80,6 @@ type FillInfo struct {
 	PutErr error
 }
 
-// flight is one in-progress fill, shared by every caller of its key.
-type flight struct {
-	done  chan struct{}
-	entry Entry
-	info  FillInfo
-	err   error
-}
-
 // Swept is the product of one acquisition: the kernel, its points, and —
 // when the points came from cross-device transfer rather than a full
 // sweep — the transfer provenance to record on the entry.
@@ -104,82 +95,54 @@ type Swept struct {
 // or a previous process's — spilled sweep), and only on a disk miss runs
 // the caller-supplied sweep, spilling the result write-behind; a non-empty
 // Swept.Transfer is recorded on the spilled entry's header. Concurrent
-// callers for the same key block until the leader finishes and share its
-// result; a failed fill is forgotten, so the next caller retries cleanly.
+// callers for the same key join the leader's fill and share its result; a
+// failed fill is forgotten, so the next caller retries cleanly. A
+// panicking sweep is the fill's error.
 //
 // ctx bounds only the wait of a joining caller; the leader's sweep is
 // bounded by whatever context the sweep closure itself observes.
-//
-// A panicking sweep is contained: the leader converts it into an error,
-// deregisters the flight and wakes every joiner. Letting it unwind
-// uncontained would leak the flight entry forever — every waiting and
-// future caller of the key would block on a fill that can no longer
-// finish.
-func (s *Store) Fill(ctx context.Context, k Key, sweep func() (Swept, error)) (ent Entry, info FillInfo, err error) {
+func (s *Store) Fill(ctx context.Context, k Key, sweep func() (Swept, error)) (Entry, FillInfo, error) {
 	if err := k.Validate(); err != nil {
 		return Entry{}, FillInfo{}, err
 	}
-	s.flightMu.Lock()
-	if s.flights == nil {
-		s.flights = make(map[Key]*flight)
+	c, joined := s.fills.Join(k)
+	if !joined {
+		f, err := s.fills.Run(k, c, func() (filled, error) { return s.fillLeader(k, sweep) })
+		return f.ent, f.info, err
 	}
-	if f, ok := s.flights[k]; ok {
-		s.flightMu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return Entry{}, FillInfo{}, ctx.Err()
-		}
-		if f.err != nil {
-			return Entry{}, FillInfo{}, f.err
-		}
-		info := FillInfo{Source: SourceJoined}
-		if f.info.Source == SourceDisk {
-			// A shared disk read is a disk read for every caller; only a
-			// shared sweep is something a joiner must not double-count.
-			info.Source = SourceDisk
-		}
-		return f.entry, info, nil
+	f, err := c.Wait(ctx)
+	if err != nil {
+		return Entry{}, FillInfo{}, err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[k] = f
-	s.flightMu.Unlock()
-
-	// Deregister before publishing, however the leader exits: callers
-	// arriving after this point start a fresh flight and hit the spilled
-	// file on disk (or retry the sweep if the fill failed); callers
-	// already waiting share this result. A recovered panic becomes the
-	// flight's error so joiners observe the failure and the next caller
-	// elects itself a fresh leader.
-	defer func() {
-		if r := recover(); r != nil {
-			f.entry, f.info = Entry{}, FillInfo{}
-			f.err = fmt.Errorf("modelstore: fill leader panicked: %v", r)
-			ent, info, err = f.entry, f.info, f.err
-		}
-		s.flightMu.Lock()
-		delete(s.flights, k)
-		s.flightMu.Unlock()
-		close(f.done)
-	}()
-	f.entry, f.info, f.err = s.fillLeader(k, sweep)
-	return f.entry, f.info, f.err
+	info := FillInfo{Source: SourceJoined}
+	if f.info.Source == SourceDisk {
+		// A shared disk read is a disk read for every caller; only a
+		// shared sweep is something a joiner must not double-count.
+		info.Source = SourceDisk
+	}
+	return f.ent, info, nil
 }
 
-func (s *Store) fillLeader(k Key, sweep func() (Swept, error)) (Entry, FillInfo, error) {
+// filled is the outcome of one fill: the entry and how the leader got it.
+type filled struct {
+	ent  Entry
+	info FillInfo
+}
+
+func (s *Store) fillLeader(k Key, sweep func() (Swept, error)) (filled, error) {
 	var info FillInfo
 	switch ent, ok, err := s.Get(k); {
 	case err != nil:
 		info.Corrupt = true
 	case ok:
 		info.Source = SourceDisk
-		return ent, info, nil
+		return filled{ent, info}, nil
 	}
 	sw, err := sweep()
 	if err != nil {
-		return Entry{}, info, err
+		return filled{info: info}, err
 	}
 	info.Source = SourceSwept
 	info.PutErr = s.PutTransfer(k, sw.Kernel, sw.Points, sw.Transfer)
-	return Entry{Key: k, Kernel: sw.Kernel, Points: sw.Points, Transfer: sw.Transfer}, info, nil
+	return filled{Entry{Key: k, Kernel: sw.Kernel, Points: sw.Points, Transfer: sw.Transfer}, info}, nil
 }

@@ -91,16 +91,10 @@ func TestFillSingleFlightAcrossCallers(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait until a leader is registered, then let it finish. Late callers
+	// Wait until a leader is sweeping, then let it finish. Late callers
 	// that miss the flight entirely hit the spilled file on disk instead —
 	// every outcome but a second sweep is fine.
-	for {
-		s.flightMu.Lock()
-		n := len(s.flights)
-		s.flightMu.Unlock()
-		if n > 0 {
-			break
-		}
+	for sweeps.Load() == 0 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -140,25 +134,19 @@ func TestFillLeaderPanicWakesJoiners(t *testing.T) {
 	}
 	k := testKey("fill", "cpu-panic")
 
-	boom := make(chan struct{})
+	started, boom := make(chan struct{}), make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
 		_, _, err := s.Fill(context.Background(), k, func() (Swept, error) {
+			close(started)
 			<-boom // hold the flight open until the joiners are waiting
 			panic("sweep exploded")
 		})
 		leaderErr <- err
 	}()
-	// Wait for the leader's flight to register, then pile joiners on it.
-	for {
-		s.flightMu.Lock()
-		n := len(s.flights)
-		s.flightMu.Unlock()
-		if n > 0 {
-			break
-		}
-		runtime.Gosched()
-	}
+	// Wait for the leader to sweep inside its flight, then pile joiners on
+	// it.
+	<-started
 	const joiners = 8
 	joinErrs := make(chan error, joiners)
 	for i := 0; i < joiners; i++ {
@@ -172,7 +160,7 @@ func TestFillLeaderPanicWakesJoiners(t *testing.T) {
 	close(boom)
 
 	// The leader reports the contained panic...
-	if err := <-leaderErr; err == nil || err.Error() != "modelstore: fill leader panicked: sweep exploded" {
+	if err := <-leaderErr; err == nil || err.Error() != "flight: run panicked: sweep exploded" {
 		t.Fatalf("leader error = %v, want the contained panic", err)
 	}
 	// ...and every joiner is woken with an error instead of hanging (their
@@ -180,7 +168,7 @@ func TestFillLeaderPanicWakesJoiners(t *testing.T) {
 	// A joiner that arrived after the flight died leads its own fill and
 	// succeeds — both outcomes are fine; a hang is the bug.
 	for i := 0; i < joiners; i++ {
-		if err := <-joinErrs; err != nil && err.Error() != "modelstore: fill leader panicked: sweep exploded" {
+		if err := <-joinErrs; err != nil && err.Error() != "flight: run panicked: sweep exploded" {
 			t.Fatalf("joiner %d: unexpected error %v", i, err)
 		}
 	}

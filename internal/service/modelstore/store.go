@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"fupermod/internal/core"
+	"fupermod/internal/flight"
 	"fupermod/internal/model"
 )
 
@@ -228,11 +229,10 @@ type Store struct {
 	ownSig  fileSig
 	ownEnd  int64
 
-	// flightMu guards flights, the in-progress Fill calls by key (see
-	// fill.go). Because Open returns one shared handle per directory, this
-	// table is the cross-replica single-flight.
-	flightMu sync.Mutex
-	flights  map[Key]*flight
+	// fills holds the in-progress Fill calls by key (see fill.go). Because
+	// Open returns one shared handle per directory, it is the cross-replica
+	// single-flight.
+	fills flight.Group[Key, filled]
 
 	// idxMu guards the index (index.go): files maps each *.points file name
 	// to what the index read of it, watched holds the files every lookup

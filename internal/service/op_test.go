@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +27,46 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// plugPool occupies the only slot of the server's pool (Workers 1) until
+// the returned unplug is called or the test ends, so a batch leader that
+// reaches the pool stays inside its run and identical requests join it.
+func plugPool(t *testing.T, svc *Server) (unplug func()) {
+	t.Helper()
+	unblock, plugged := make(chan struct{}), make(chan struct{})
+	plug := make(chan error, 1)
+	go func() {
+		plug <- pool.Do(context.Background(), svc.pool, func(context.Context) error {
+			close(plugged)
+			<-unblock
+			return nil
+		})
+	}()
+	<-plugged
+	var once sync.Once
+	unplug = func() {
+		once.Do(func() {
+			close(unblock)
+			if err := <-plug; err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	t.Cleanup(unplug)
+	return unplug
+}
+
+// waitBatched waits until n requests are inside their batches, leading a
+// run or joined to one. Behind a plugged pool none can leave, so the count
+// only grows until the pool is unplugged. It reads the goroutine stacks:
+// a request that leads its batch shows no other sign of having reached it.
+func waitBatched(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	waitUntil(t, fmt.Sprintf("%d requests in their batches", n), func() bool {
+		return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("service.(*Server).batched(")) == n
+	})
 }
 
 // answer is one HTTP response: its status and body.
@@ -71,7 +113,8 @@ func modified[R any](req R, f func(*R)) R {
 // requests that differ only in spelling (the empty tenant against
 // "default", an omitted default against the explicit one, a bare machine
 // ref against its pinned form) share one batch; changing any one field
-// that shapes the answer gives a batch of its own.
+// that shapes the answer gives a batch of its own. Each pair is sent
+// behind a plugged pool, so both requests are in flight together.
 func TestReplayOpsBatchOnNormalisedRequest(t *testing.T) {
 	type pair struct {
 		name  string
@@ -147,19 +190,23 @@ func TestReplayOpsBatchOnNormalisedRequest(t *testing.T) {
 	}
 	for _, o := range ops {
 		t.Run(strings.TrimPrefix(o.path, "/v1/"), func(t *testing.T) {
-			t.Parallel()
-			svc, ts := newTestServer(t, Config{BatchWindow: 250 * time.Millisecond})
+			svc, ts := newTestServer(t, Config{Workers: 1})
 			uploadMachine(t, ts.URL, "team", testMachineText)
 			for _, p := range o.pairs {
+				// Warm the comm calibrations a rebalance prepares with, so
+				// the pair reaches its batches behind the plugged pool.
+				for _, req := range []any{p.a, p.b} {
+					if status, body := postJSON(t, ts.URL+o.path, req); status != http.StatusOK {
+						t.Fatalf("%s: warm-up status %d: %s", p.name, status, body)
+					}
+				}
 				before := getStats(t, ts.URL)
+				unplug := plugPool(t, svc)
 				answers := make(chan answer, 2)
 				go postFrom(t, ts.URL+o.path, p.a, answers)
-				waitUntil(t, p.name+": the first request's batch", func() bool {
-					svc.batchMu.Lock()
-					defer svc.batchMu.Unlock()
-					return len(svc.batches) > 0
-				})
 				go postFrom(t, ts.URL+o.path, p.b, answers)
+				waitBatched(t, 2)
+				unplug()
 				a, b := <-answers, <-answers
 				if a.status != http.StatusOK || b.status != http.StatusOK {
 					t.Fatalf("%s: status %d and %d: %s %s", p.name, a.status, b.status, a.body, b.body)
@@ -184,37 +231,17 @@ func TestReplayOpsBatchOnNormalisedRequest(t *testing.T) {
 // a different run from the same tenant is rejected at once with a
 // Retry-After.
 func TestDynpartQuotaMetersLeaderOnly(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1, QuotaSlots: 1, BatchWindow: 500 * time.Millisecond})
+	svc, ts := newTestServer(t, Config{Workers: 1, QuotaSlots: 1})
 	const tenant, followers = "metered", 3
-	held := func() int {
-		svc.quota.mu.Lock()
-		defer svc.quota.mu.Unlock()
-		return svc.quota.inflight[tenant]
-	}
+	held := func() int { return quotaHeld(svc, tenant) }
 	// Plug the only worker, so the leader waits for the pool while it
 	// holds its quota slot.
-	unblock, plugged := make(chan struct{}), make(chan struct{})
-	plug := make(chan error, 1)
-	go func() {
-		plug <- pool.Do(context.Background(), svc.pool, func(context.Context) error {
-			close(plugged)
-			<-unblock
-			return nil
-		})
-	}()
-	<-plugged
-	var once sync.Once
-	unplug := func() { once.Do(func() { close(unblock) }) }
-	t.Cleanup(unplug)
+	unplug := plugPool(t, svc)
 
 	req := DynpartRequest{Tenant: tenant, Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}}, D: 3000}
 	answers := make(chan answer, followers+1)
 	go postFrom(t, ts.URL+"/v1/dynpart", req, answers) // the leader
-	waitUntil(t, "the leader's batch", func() bool {
-		svc.batchMu.Lock()
-		defer svc.batchMu.Unlock()
-		return len(svc.batches) == 1
-	})
+	waitBatched(t, 1)
 	for i := 0; i < followers; i++ {
 		go postFrom(t, ts.URL+"/v1/dynpart", req, answers)
 	}
@@ -239,9 +266,6 @@ func TestDynpartQuotaMetersLeaderOnly(t *testing.T) {
 	}
 
 	unplug()
-	if err := <-plug; err != nil {
-		t.Fatal(err)
-	}
 	var bodies [][]byte
 	for len(bodies) < followers+1 {
 		select {
@@ -266,5 +290,42 @@ func TestDynpartQuotaMetersLeaderOnly(t *testing.T) {
 	}
 	if n := held(); n != 0 {
 		t.Errorf("the tenant still holds %d quota slots after its run", n)
+	}
+}
+
+// quotaHeld returns the quota slots the tenant holds.
+func quotaHeld(svc *Server, tenant string) int {
+	svc.quota.mu.Lock()
+	defer svc.quota.mu.Unlock()
+	return svc.quota.inflight[tenant]
+}
+
+// TestDynpartJoinsRunInFlight: an identical /v1/dynpart that arrives while
+// its leader waits for a pool slot joins the leader's run. Its answer is
+// already being computed, so it is neither run again nor refused with a
+// 429 for a quota slot of its own.
+func TestDynpartJoinsRunInFlight(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1, QuotaSlots: 1})
+	const tenant = "in-flight"
+	unplug := plugPool(t, svc)
+	req := DynpartRequest{Tenant: tenant, Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}}, D: 3000}
+	answers := make(chan answer, 2)
+	go postFrom(t, ts.URL+"/v1/dynpart", req, answers)
+	waitUntil(t, "the leader to take its quota slot", func() bool { return quotaHeld(svc, tenant) == 1 })
+	go postFrom(t, ts.URL+"/v1/dynpart", req, answers)
+	waitStats(t, ts.URL, func(s Snapshot) bool { return s.BatchJoined+s.QuotaRejections == 1 },
+		"the identical request to join the run or be refused")
+	unplug()
+	a, b := <-answers, <-answers
+	if a.status != http.StatusOK || b.status != http.StatusOK {
+		t.Fatalf("statuses %d and %d, want 200 and 200: %s %s", a.status, b.status, a.body, b.body)
+	}
+	if !bytes.Equal(a.body, b.body) {
+		t.Error("the joined request got other bytes than its leader")
+	}
+	snap := getStats(t, ts.URL)
+	if snap.DynpartRuns != 1 || snap.BatchJoined != 1 || snap.QuotaRejections != 0 {
+		t.Errorf("dynpart_runs=%d batch_joined=%d quota_rejections=%d, want 1, 1 and 0",
+			snap.DynpartRuns, snap.BatchJoined, snap.QuotaRejections)
 	}
 }

@@ -10,7 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"fupermod/internal/core"
+	"fupermod/internal/kernels"
 	"fupermod/internal/model"
+	"fupermod/internal/platform"
+	"fupermod/internal/service/modelstore"
 )
 
 // newStoreServer starts a server over dir and registers cleanup. Each call
@@ -297,28 +301,51 @@ func TestUnfittableEntryIsNotSweptAgain(t *testing.T) {
 	}
 }
 
-// TestStoreIsolatesPrecision: a store filled under one stopping rule must
-// not serve a server sweeping under another.
+// TestStoreIsolatesPrecision: a sweep stored under another stopping rule
+// must not serve a server sweeping under DefaultSweepPrecision.
 func TestStoreIsolatesPrecision(t *testing.T) {
 	dir := t.TempDir()
-	req := MeasureRequest{Device: DeviceSpec{Preset: "fast", Seed: 3}, Grid: testGrid}
+	dev := DeviceSpec{Preset: "fast", Seed: 3}
+	req := MeasureRequest{Device: dev, Grid: testGrid}
 
-	_, ts1 := newStoreServer(t, dir, Config{})
-	if status, _ := postJSON(t, ts1.URL+"/v1/measure", req); status != 200 {
-		t.Fatalf("fill failed")
-	}
-
+	// Plant the key's sweep under a stricter rule, as a fupermod-bench run
+	// with its own precision would.
 	strict := DefaultSweepPrecision
 	strict.MaxReps++
-	_, ts2 := newStoreServer(t, dir, Config{Precision: strict})
-	snap0 := getStats(t, ts2.URL)
+	d, err := platform.Preset(dev.Preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernels.NewVirtual(d.Name(), platform.NewMeter(d, noiseConfig(dev.Noise), dev.Seed), GEMMBlockFlops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := core.Sweep(k, core.LogSizes(testGrid.Lo, testGrid.Hi, testGrid.N), strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := modelstore.Key{
+		Tenant: TenantOf(""), Device: dev.Preset, Seed: dev.Seed,
+		Lo: testGrid.Lo, Hi: testGrid.Hi, N: testGrid.N,
+		Prec: modelstore.EncodePrecision(strict),
+	}
+	if err := st.Put(key, k.Name(), pts); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newStoreServer(t, dir, Config{})
+	snap0 := getStats(t, ts.URL)
 	if snap0.StoreLoaded != 0 {
 		t.Errorf("preloaded %d entries measured under a different precision", snap0.StoreLoaded)
 	}
-	if status, _ := postJSON(t, ts2.URL+"/v1/measure", req); status != 200 {
+	if status, _ := postJSON(t, ts.URL+"/v1/measure", req); status != 200 {
 		t.Fatalf("measure failed")
 	}
-	if snap := getStats(t, ts2.URL); snap.Sweeps != 1 {
+	if snap := getStats(t, ts.URL); snap.Sweeps != 1 {
 		t.Errorf("sweeps=%d, want 1: a different precision is a different measurement", snap.Sweeps)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"fupermod/internal/commmodel"
 	"fupermod/internal/core"
@@ -263,19 +262,20 @@ func TestRebalanceValidation(t *testing.T) {
 	}
 }
 
-// TestRebalanceBatches: identical decisions within the batch window share
-// one computation — the endpoint rides the op-prefixed batcher like every
+// TestRebalanceBatches: identical decisions in flight together share one
+// computation — the endpoint rides the op-prefixed batcher like every
 // other solve.
 func TestRebalanceBatches(t *testing.T) {
-	svc, ts := newTestServer(t, Config{BatchWindow: 100 * time.Millisecond})
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	req := rebalanceReq("batchers")
 
-	// Warm the comm-calibration cache so the batched requests line up
-	// inside one window instead of serialising behind the calibration.
+	// Warm the comm-calibration cache so the batched requests reach their
+	// batch behind the plugged pool instead of the calibration.
 	if status, body := postJSON(t, ts.URL+"/v1/rebalance", req); status != 200 {
 		t.Fatalf("warmup status %d: %s", status, body)
 	}
 	before := svc.snapshot().RebalanceRuns
+	unplug := plugPool(t, svc)
 
 	const waves = 12
 	results := make([][]byte, waves)
@@ -290,6 +290,8 @@ func TestRebalanceBatches(t *testing.T) {
 			}
 		}(i)
 	}
+	waitUntil(t, "the requests to join one batch", func() bool { return svc.stats.BatchJoined.Load() == waves-1 })
+	unplug()
 	wg.Wait()
 	for i, body := range results {
 		if body == nil {

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"fupermod/internal/commmodel"
 	"fupermod/internal/core"
+	"fupermod/internal/flight"
 	"fupermod/internal/model"
 	"fupermod/internal/pool"
 	"fupermod/internal/service/modelstore"
@@ -27,9 +27,7 @@ import (
 // Create with New; it is safe for concurrent use by any number of HTTP
 // requests.
 type Server struct {
-	cacheSize   int
-	batchWindow time.Duration
-	precision   core.Precision
+	cacheSize int
 
 	// transfer is never true without a store.
 	transfer bool
@@ -38,19 +36,16 @@ type Server struct {
 	store *modelstore.Store
 	quota *quotas
 
-	// ctx is the server's life: Close ends it, unblocking every waiter.
+	// ctx is the server's life: Close ends it with errClosed, unblocking
+	// every waiter.
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 
 	mu      sync.Mutex
 	tenants map[string]*tenantCache
 
-	batchMu sync.Mutex
-	batches map[string]*call[any]
-	window  adaptiveWindow
-
-	commMu sync.Mutex
-	comms  map[string]*call[commmodel.CommModel]
+	batches flight.Group[string, any]
+	comms   flight.Group[string, commmodel.CommModel]
 
 	machineMu sync.Mutex
 	machines  map[string]*tenantMachines
@@ -58,22 +53,17 @@ type Server struct {
 	stats serverStats
 }
 
+// errClosed is the cause a closed server's waiters return.
+var errClosed = fmt.Errorf("service: shutting down: %w", context.Canceled)
+
 // New returns a ready-to-serve Server. With cfg.StoreDir set, the store
-// directory is opened (created if absent) and the stored entries matching
-// the server's sweep precision are preloaded into the tenant caches before
+// directory is opened (created if absent) and the stored entries measured
+// under DefaultSweepPrecision are preloaded into the tenant caches before
 // the first request.
 func New(cfg Config) (*Server, error) {
 	cacheSize := cfg.CacheSize
 	if cacheSize <= 0 {
 		cacheSize = DefaultCacheSize
-	}
-	window := cfg.BatchWindow
-	if window == 0 {
-		window = DefaultBatchWindow
-	}
-	prec := cfg.Precision
-	if prec == (core.Precision{}) {
-		prec = DefaultSweepPrecision
 	}
 	if cfg.Transfer && cfg.StoreDir == "" {
 		return nil, fmt.Errorf("service: Transfer requires StoreDir (the store is the donor pool)")
@@ -85,22 +75,17 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
-		cacheSize:   cacheSize,
-		batchWindow: window,
-		precision:   prec,
-		transfer:    cfg.Transfer,
-		pool:        pool.New(cfg.Workers),
-		store:       st,
-		quota:       newQuotas(cfg.QuotaSlots, cfg.QuotaWeights),
-		ctx:         ctx,
-		cancel:      cancel,
-		tenants:     make(map[string]*tenantCache),
-		batches:     make(map[string]*call[any]),
-		window:      adaptiveWindow{max: window},
-		comms:       make(map[string]*call[commmodel.CommModel]),
-		machines:    make(map[string]*tenantMachines),
+		cacheSize: cacheSize,
+		transfer:  cfg.Transfer,
+		pool:      pool.New(cfg.Workers),
+		store:     st,
+		quota:     newQuotas(cfg.QuotaSlots, cfg.QuotaWeights),
+		ctx:       ctx,
+		cancel:    cancel,
+		tenants:   make(map[string]*tenantCache),
+		machines:  make(map[string]*tenantMachines),
 	}
 	if st != nil {
 		s.preload()
@@ -122,7 +107,7 @@ func (s *Server) preload() {
 		return
 	}
 	s.stats.StoreCorrupt.Add(int64(len(corrupt)))
-	prec := modelstore.EncodePrecision(s.precision)
+	prec := modelstore.EncodePrecision(DefaultSweepPrecision)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := len(entries) - 1; i >= 0; i-- {
@@ -142,7 +127,7 @@ func (s *Server) preload() {
 		e := &entry{
 			// Born published: the model fitted to the stored sweep is the
 			// fill's outcome.
-			call: &call[core.Model]{done: make(chan struct{}), val: m},
+			Call: flight.Published[core.Model](m),
 			key: ModelKey{
 				Device: ent.Key.Device,
 				Seed:   ent.Key.Seed,
@@ -151,7 +136,6 @@ func (s *Server) preload() {
 				Model: model.KindPiecewise,
 			},
 		}
-		close(e.done)
 		e.elem = tc.order.PushBack(e)
 		tc.entries[e.key] = e
 		s.stats.StoreLoaded.Add(1)
@@ -162,7 +146,7 @@ func (s *Server) preload() {
 // calibrations and batches are unblocked with a shutdown error. Call after
 // draining the HTTP listener (http.Server.Shutdown) so in-flight requests
 // complete first.
-func (s *Server) Close() { s.cancel() }
+func (s *Server) Close() { s.cancel(errClosed) }
 
 // snapshot assembles the /stats view.
 func (s *Server) snapshot() Snapshot {

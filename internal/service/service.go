@@ -6,8 +6,9 @@
 //   - per-tenant fitted-model LRU caches keyed by (device, noise seed,
 //     size grid, model kind) with single-flight deduplication —
 //     concurrent identical requests trigger exactly one benchmark sweep —
-//     identical-request batching within a short window, a comm-model
-//     calibration cache, and weighted fair admission quotas;
+//     batching of identical requests that arrive while their solve is in
+//     flight, a comm-model calibration cache, and weighted fair admission
+//     quotas, all coalescing through package flight;
 //   - one bounded worker pool running every sweep, fit and solver call, so
 //     the service never oversubscribes the machine;
 //   - the durable model store (package modelstore), the source of truth
@@ -74,11 +75,6 @@ var DefaultSweepPrecision = core.Precision{
 // DefaultCacheSize is the per-tenant LRU bound when Config.CacheSize is 0.
 const DefaultCacheSize = 64
 
-// DefaultBatchWindow is the partition-batching window when
-// Config.BatchWindow is 0. Requests for the same models, algorithm and D
-// arriving within one window share a single solver call.
-const DefaultBatchWindow = time.Millisecond
-
 // MaxDevices bounds the number of devices in one partition request.
 const MaxDevices = 64
 
@@ -99,12 +95,6 @@ type Config struct {
 	// CacheSize is the per-tenant LRU bound in fitted models; <= 0
 	// selects DefaultCacheSize.
 	CacheSize int
-	// BatchWindow is how long a partition request waits for identical
-	// requests to batch with; 0 selects DefaultBatchWindow, negative
-	// disables batching.
-	BatchWindow time.Duration
-	// Precision overrides DefaultSweepPrecision when non-zero.
-	Precision core.Precision
 	// StoreDir, when non-empty, enables the on-disk model store: every
 	// sweep is spilled there (write-behind) and reloaded on start, so a
 	// restarted server reuses its measurements instead of re-sweeping.

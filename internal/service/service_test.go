@@ -367,9 +367,9 @@ func TestSingleFlight(t *testing.T) {
 }
 
 // TestBatching: with the model cache primed, identical partition requests
-// inside one batch window share a single solver call.
+// in flight together share a single solver call.
 func TestBatching(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: 300 * time.Millisecond})
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	req := PartitionRequest{
 		Tenant:  "batch",
 		Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}},
@@ -384,6 +384,8 @@ func TestBatching(t *testing.T) {
 			t.Fatalf("prime: status %d: %s", status, body)
 		}
 	}
+	// Hold the leader inside its run, so every other request joins it.
+	unplug := plugPool(t, svc)
 	const clients = 20
 	var wg sync.WaitGroup
 	bodies := make([][]byte, clients)
@@ -399,6 +401,8 @@ func TestBatching(t *testing.T) {
 			bodies[i] = body
 		}(i)
 	}
+	waitUntil(t, "the requests to join one batch", func() bool { return svc.stats.BatchJoined.Load() == clients-1 })
+	unplug()
 	wg.Wait()
 	for i := 1; i < clients; i++ {
 		if !bytes.Equal(bodies[i], bodies[0]) {
@@ -453,11 +457,12 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestShutdownDraining: an in-flight request (held open by the batch
-// window) survives http.Server.Shutdown — the drain waits for it and the
-// client receives the complete, correct response.
+// TestShutdownDraining: an in-flight request (held open by a plugged pool
+// for the first 100 ms of the drain) survives http.Server.Shutdown — the
+// drain waits for it and the client receives the complete, correct
+// response.
 func TestShutdownDraining(t *testing.T) {
-	svc, err := New(Config{BatchWindow: 250 * time.Millisecond})
+	svc, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,6 +470,7 @@ func TestShutdownDraining(t *testing.T) {
 	ts := httptest.NewUnstartedServer(svc.Handler())
 	ts.Start()
 	base := ts.URL
+	unplug := plugPool(t, svc)
 
 	req := PartitionRequest{
 		Devices: []DeviceSpec{{Preset: "fast", Seed: 1}, {Preset: "slow", Seed: 2}},
@@ -482,9 +488,11 @@ func TestShutdownDraining(t *testing.T) {
 		status, body := postJSON(t, base+"/v1/partition", req)
 		done <- result{status, body}
 	}()
-	// Give the request time to enter its batch window, then drain.
-	time.Sleep(50 * time.Millisecond)
+	// Once the request misses the cache it waits for the pool; drain, and
+	// release it 100 ms into the drain.
+	waitUntil(t, "the request to miss the cache", func() bool { return svc.stats.CacheMisses.Load() == 1 })
 	start := time.Now()
+	time.AfterFunc(100*time.Millisecond, unplug)
 	ts.Config.Shutdown(context.Background())
 	drain := time.Since(start)
 

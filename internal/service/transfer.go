@@ -31,7 +31,7 @@ func (s *Server) acquireKey(tenant string, key ModelKey, sizes []int, sk modelst
 		}
 		return func(d int) (core.Point, error) {
 			s.stats.TransferProbes.Add(1)
-			return core.Benchmark(k, d, s.precision)
+			return core.Benchmark(k, d, DefaultSweepPrecision)
 		}, nil
 	}
 	var res *transfer.Result
