@@ -35,7 +35,8 @@ vet:
 
 ## race: the whole suite under the race detector, then the Student-t
 ## quantile memo ten times over (-count=10: every sweep's stopping rule
-## reads it, and the service's pool runs sweeps concurrently)
+## reads its table without a lock while misses publish grown copies, and
+## the service's pool runs sweeps concurrently)
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TQuantile' ./internal/stats

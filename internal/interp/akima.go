@@ -19,17 +19,14 @@ type Akima struct {
 // five points the classic construction degrades gracefully: the missing
 // exterior slopes are supplied by Akima's quadratic end extrapolation, and
 // with exactly two points the spline is the straight line through them.
-// The input slices are copied.
+// The spline keeps xs and ys, not copies: it owns them from here on, and
+// the caller must not write to them again.
 func NewAkima(xs, ys []float64) (*Akima, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err
 	}
 	n := len(xs)
-	a := &Akima{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-		t:  make([]float64, n),
-	}
+	a := &Akima{xs: xs, ys: ys, t: make([]float64, n)}
 	// Secant slopes with two extrapolated slopes on each side,
 	// m[2..n] are the real slopes m_0..m_{n-2}; m[0], m[1] and
 	// m[n+1], m[n+2] are Akima's end extensions.

@@ -17,17 +17,14 @@ type Hermite struct {
 
 // NewHermite builds the monotone cubic interpolant through the given
 // points. The xs must be strictly increasing; at least two points are
-// required. The input slices are copied.
+// required. The interpolant keeps xs and ys, not copies: it owns them from
+// here on, and the caller must not write to them again.
 func NewHermite(xs, ys []float64) (*Hermite, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err
 	}
 	n := len(xs)
-	h := &Hermite{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-		m:  make([]float64, n),
-	}
+	h := &Hermite{xs: xs, ys: ys, m: make([]float64, n)}
 	// Secant slopes.
 	d := make([]float64, n-1)
 	for i := 0; i < n-1; i++ {

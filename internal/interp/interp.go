@@ -81,16 +81,13 @@ type Linear struct {
 
 // NewLinear builds a piecewise-linear interpolant through the given points.
 // The xs must be strictly increasing and at least two points are required.
-// The input slices are copied.
+// The interpolant keeps xs and ys, not copies: it owns them from here on,
+// and the caller must not write to them again.
 func NewLinear(xs, ys []float64) (*Linear, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err
 	}
-	l := &Linear{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-	}
-	return l, nil
+	return &Linear{xs: xs, ys: ys}, nil
 }
 
 // seg locates x's segment through the memoized hint, falling back to the

@@ -67,14 +67,37 @@ func TestLinearInterpolationAndExtrapolation(t *testing.T) {
 	}
 }
 
-func TestLinearCopiesInput(t *testing.T) {
-	xs := []float64{0, 1}
-	ys := []float64{0, 1}
-	l, _ := NewLinear(xs, ys)
-	xs[1] = 100
-	ys[1] = 100
-	if got := l.At(1); got != 1 {
-		t.Errorf("interpolator aliases caller slices: At(1) = %g", got)
+// TestConstructorsKeepInput: each constructor keeps the slices it is
+// given, so an interpolant reads its caller's knots instead of a copy.
+func TestConstructorsKeepInput(t *testing.T) {
+	xs := []float64{0, 1, 2, 4}
+	ys := []float64{0, 1, 3, 4}
+	l, err := NewLinear(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAkima(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHermite(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		kx, ky []float64
+	}{
+		{"linear", l.xs, l.ys},
+		{"akima", a.xs, a.ys},
+		{"hermite", h.xs, h.ys},
+	} {
+		if &c.kx[0] != &xs[0] || &c.ky[0] != &ys[0] || len(c.kx) != len(xs) || len(c.ky) != len(ys) {
+			t.Errorf("%s: the interpolant does not read the slices it was given", c.name)
+		}
+	}
+	if got := l.At(3); got != 3.5 {
+		t.Errorf("linear At(3) = %g, want 3.5", got)
 	}
 }
 

@@ -172,3 +172,51 @@ func BenchmarkPiecewiseFit(b *testing.B) {
 		})
 	}
 }
+
+// TestFitAllocationBudget: fitting a 40-point sweep allocates only what
+// the model keeps. The piecewise model keeps its point set, its two
+// coarse-knot arrays (read by the interpolant, not copied) and the
+// interpolant; the Akima model its point set, its two knot arrays and the
+// spline with its knot slopes, plus the spline's secant scratch.
+func TestFitAllocationBudget(t *testing.T) {
+	pts := measure(platform.NetlibBLASCore(), core.LogSizes(16, 60000, 40))
+	for _, c := range []struct {
+		kind   string
+		budget float64
+	}{
+		{KindPiecewise, 5},
+		{KindAkima, 7},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			m, err := New(c.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.UpdateAll(m, pts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: a 40-point fit allocates %v times, budget %v", c.kind, allocs, c.budget)
+		}
+	}
+}
+
+// TestRebuildLeavesOldKnots: a rebuild builds its knots in fresh arrays,
+// so an interpolant it replaces still reads the knots it was built on.
+func TestRebuildLeavesOldKnots(t *testing.T) {
+	m := NewPiecewise()
+	if err := core.UpdateAll(m, []core.Point{{D: 10, Time: 1, Reps: 1}, {D: 20, Time: 2, Reps: 1}, {D: 40, Time: 4, Reps: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	old := m.itp
+	want := old.At(30)
+	// A repeated size merges in place, so the rebuild has as many knots
+	// as before.
+	if err := m.Update(core.Point{D: 20, Time: 3, Reps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := old.At(30); got != want {
+		t.Errorf("a rebuild rewrote the replaced interpolant's knots: At(30) = %v, want %v", got, want)
+	}
+}

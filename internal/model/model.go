@@ -108,10 +108,16 @@ const maxExactSize int64 = 1 << 53
 // point stops the adds, and the rebuild covers the points added before it.
 // When a size reaches maxExactSize, where a rebuild can fail on two equal
 // knots, fit runs the Updates themselves, so the failure comes at the same
-// point.
+// point. The set grows once, to room for every point, before the adds: a
+// sweep's sizes are distinct, so that is the set's final length.
 func fit(m setModel, s *pointSet, pts []core.Point) error {
 	if !exactSizes(s.pts) || !exactSizes(pts) {
 		return core.UpdateEach(m, pts)
+	}
+	if n := len(s.pts) + len(pts); cap(s.pts) < n {
+		grown := make([]core.Point, len(s.pts), n)
+		copy(grown, s.pts)
+		s.pts = grown
 	}
 	for _, p := range pts {
 		if err := s.add(p); err != nil {

@@ -24,7 +24,8 @@ type Piecewise struct {
 	set pointSet
 
 	// coarse holds the coarsened (size, time) knots; itp interpolates
-	// them. Both are rebuilt by Update and Fit.
+	// them, reading the same arrays. Update and Fit rebuild all three
+	// from fresh arrays, so an interpolant never sees its knots change.
 	coarseD []float64
 	coarseT []float64
 	itp     *interp.Linear
@@ -59,10 +60,10 @@ func (m *Piecewise) Fit(pts []core.Point) error { return fit(m, &m.set, pts) }
 
 func (m *Piecewise) rebuild() error {
 	pts := m.set.pts
-	m.coarseD = m.coarseD[:0]
-	m.coarseT = m.coarseT[:0]
+	m.coarseD = make([]float64, len(pts))
+	m.coarseT = make([]float64, len(pts))
 	prev := 0.0
-	for _, p := range pts {
+	for i, p := range pts {
 		t := p.Time
 		// Clip upward to keep the coarsened times strictly increasing:
 		// the relative floor handles normal magnitudes, the absolute
@@ -72,8 +73,8 @@ func (m *Piecewise) rebuild() error {
 		if floor := math.Max(prev*(1+minTimeGrowth), prev+minModelTime); t < floor {
 			t = floor
 		}
-		m.coarseD = append(m.coarseD, float64(p.D))
-		m.coarseT = append(m.coarseT, t)
+		m.coarseD[i] = float64(p.D)
+		m.coarseT[i] = t
 		prev = t
 	}
 	m.itp = nil

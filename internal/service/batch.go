@@ -1,34 +1,35 @@
 package service
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // BatchKey fingerprints everything that determines a partition result:
 // the operation, the tenant, the resolved model cache keys in device
 // order, the algorithm, and the problem size. Requests agreeing on all of
-// these are answered by a single solver call. It is exported so the perf
-// harness (internal/bench) can track its cost.
+// these are answered by a single solver call. The tenant is the one
+// free-form field, so it is written with its length in front: a tenant
+// holding "|" and a model key can then never pass for another tenant with
+// one more device. It is exported so the perf harness (internal/bench)
+// can track its cost.
 func BatchKey(op, tenant string, keys []ModelKey, algorithm string, D int, commTag string) string {
-	var b strings.Builder
-	b.Grow(64 + len(op) + len(tenant) + len(algorithm) + len(commTag) + 48*len(keys))
-	b.WriteString(op)
-	b.WriteByte('|')
-	b.WriteString(tenant)
+	b := make([]byte, 0, 64+len(op)+len(tenant)+len(algorithm)+len(commTag)+96*len(keys))
+	b = append(b, op...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(tenant)), 10)
+	b = append(b, ':')
+	b = append(b, tenant...)
 	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k.String())
+		b = append(b, '|')
+		b = k.appendTo(b)
 	}
-	b.WriteByte('|')
-	b.WriteString(algorithm)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(D))
+	b = append(b, '|')
+	b = append(b, algorithm...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(D), 10)
 	// Comm-aware and compute-only requests over the same models solve
 	// different balance problems and must never share a batch.
-	b.WriteByte('|')
-	b.WriteString(commTag)
-	return b.String()
+	b = append(b, '|')
+	b = append(b, commTag...)
+	return string(b)
 }
 
 // batched coalesces identical expensive operations into a single run

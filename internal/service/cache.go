@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"fupermod/internal/core"
@@ -32,9 +33,28 @@ type ModelKey struct {
 	Model  string
 }
 
+// String renders the key as device/seed=S/noise=N/grid=lo:hi:n/model, the
+// noise in its shortest round-trip form.
 func (k ModelKey) String() string {
-	return fmt.Sprintf("%s/seed=%d/noise=%g/grid=%d:%d:%d/%s",
-		k.Device, k.Seed, k.Noise, k.Lo, k.Hi, k.N, k.Model)
+	var buf [128]byte
+	return string(k.appendTo(buf[:0]))
+}
+
+// appendTo appends String's bytes to b.
+func (k ModelKey) appendTo(b []byte) []byte {
+	b = append(b, k.Device...)
+	b = append(b, "/seed="...)
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, "/noise="...)
+	b = strconv.AppendFloat(b, k.Noise, 'g', -1, 64)
+	b = append(b, "/grid="...)
+	b = strconv.AppendInt(b, int64(k.Lo), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(k.Hi), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	b = append(b, '/')
+	return append(b, k.Model...)
 }
 
 // entry is one cache slot: the fill's call, published before the fill
@@ -146,20 +166,19 @@ func (s *Server) evictOverLocked(tc *tenantCache) {
 // a pure function of its store key, so sweeping a stored entry again would
 // reproduce its points and its error. Storeless servers sweep directly;
 // the cache-entry single-flight already deduplicates within the server.
+// Only a sweep or a transfer computes the key's sizes; keyOf has rejected
+// grids without any.
 func (s *Server) fill(tenant string, key ModelKey) (core.Model, error) {
-	sizes := core.LogSizes(key.Lo, key.Hi, key.N)
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("service: invalid size grid lo=%d hi=%d n=%d", key.Lo, key.Hi, key.N)
-	}
 	sk, stored := s.storeKey(tenant, key)
 	if !stored {
-		sw, err := s.sweepKey(tenant, key, sizes)
+		sw, err := s.sweepKey(tenant, key, core.LogSizes(key.Lo, key.Hi, key.N))
 		if err != nil {
 			return nil, err
 		}
 		return fitPoints(key.Model, sw.Points)
 	}
 	ent, info, err := s.store.Fill(s.ctx, sk, func() (modelstore.Swept, error) {
+		sizes := core.LogSizes(key.Lo, key.Hi, key.N)
 		if s.transfer {
 			return s.acquireKey(tenant, key, sizes, sk)
 		}
@@ -231,9 +250,9 @@ func (s *Server) kernelFor(tenant string, key ModelKey) (*kernels.Virtual, error
 
 // storeKey maps an in-memory cache key to its disk-store key; ok is false
 // when the server runs without a store. The model kind is dropped — the
-// stored artefact is the measurement — and the server's sweep precision is
-// folded in, so a sweep stored under another stopping rule (a fupermod-bench
-// run with its own precision) is never served.
+// stored artefact is the measurement — and the server's sweep precision
+// (s.prec) is folded in, so a sweep stored under another stopping rule (a
+// fupermod-bench run with its own precision) is never served.
 func (s *Server) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
 	if s.store == nil {
 		return modelstore.Key{}, false
@@ -244,7 +263,7 @@ func (s *Server) storeKey(tenant string, key ModelKey) (modelstore.Key, bool) {
 		Seed:   key.Seed,
 		Noise:  key.Noise,
 		Lo:     key.Lo, Hi: key.Hi, N: key.N,
-		Prec: modelstore.EncodePrecision(DefaultSweepPrecision),
+		Prec: s.prec,
 	}, true
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -82,5 +83,46 @@ func TestFillPanicReleasesKey(t *testing.T) {
 	svc.machineMu.Unlock()
 	if n, err := lookup(broken); err != nil || n == 0 {
 		t.Errorf("lookup of the mended key: %d points, err %v", n, err)
+	}
+}
+
+// modelKeyRef is ModelKey.String's fmt form, the reference its bytes are
+// pinned to.
+func modelKeyRef(k ModelKey) string {
+	return fmt.Sprintf("%s/seed=%d/noise=%g/grid=%d:%d:%d/%s",
+		k.Device, k.Seed, k.Noise, k.Lo, k.Hi, k.N, k.Model)
+}
+
+// TestModelKeyStringMatchesRef pins ModelKey.String's bytes to its fmt
+// form over edge keys: noise levels that print in exponent form or round,
+// extreme seeds and grids, machine devices, and names fmt passes through
+// unescaped.
+func TestModelKeyStringMatchesRef(t *testing.T) {
+	base := ModelKey{Device: "fast", Seed: 7, Noise: 0.02, Lo: 16, Hi: 5000, N: 20, Model: model.KindPiecewise}
+	tests := []struct {
+		name string
+		edit func(*ModelKey)
+	}{
+		{"plain", func(*ModelKey) {}},
+		{"noise 0", func(k *ModelKey) { k.Noise = 0 }},
+		{"noise 0.1", func(k *ModelKey) { k.Noise = 0.1 }},
+		{"noise 1e-7", func(k *ModelKey) { k.Noise = 1e-7 }},
+		{"noise 5e-324", func(k *ModelKey) { k.Noise = 5e-324 }},
+		{"noise 1e21", func(k *ModelKey) { k.Noise = 1e21 }},
+		{"noise -0", func(k *ModelKey) { k.Noise = math.Copysign(0, -1) }},
+		{"negative seed", func(k *ModelKey) { k.Seed = -3 }},
+		{"minimum seed", func(k *ModelKey) { k.Seed = math.MinInt64 }},
+		{"maximum seed", func(k *ModelKey) { k.Seed = math.MaxInt64 }},
+		{"maximum grid", func(k *ModelKey) { k.Lo, k.Hi, k.N = 1, math.MaxInt, math.MaxInt }},
+		{"machine device", func(k *ModelKey) { k.Device = "machine:3f2a9c01d4e5b6a7/12" }},
+		{"unescaped names", func(k *ModelKey) { k.Device, k.Model = "machine:é/0?x=#|%", "fpm akima" }},
+		{"long fields", func(k *ModelKey) { k.Device = strings.Repeat("d/", 100) }},
+	}
+	for _, tc := range tests {
+		k := base
+		tc.edit(&k)
+		if got, want := k.String(), modelKeyRef(k); got != want {
+			t.Errorf("%s: String = %q, want %q", tc.name, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/url"
 	"sort"
+	"strconv"
 
 	"fupermod/internal/transfer"
 )
@@ -19,9 +20,21 @@ import (
 // measurement conditions spelled out. It parses back by eye, not by
 // machine — provenance is an audit record, not an address.
 func DonorID(k Key) string {
-	return fmt.Sprintf("%s/%s/seed=%d/noise=%s/grid=%d:%d:%d",
-		url.QueryEscape(k.Tenant), url.QueryEscape(k.Device),
-		k.Seed, fmtG(k.Noise), k.Lo, k.Hi, k.N)
+	var buf [128]byte
+	b := append(buf[:0], url.QueryEscape(k.Tenant)...)
+	b = append(b, '/')
+	b = append(b, url.QueryEscape(k.Device)...)
+	b = append(b, "/seed="...)
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, "/noise="...)
+	b = strconv.AppendFloat(b, k.Noise, 'g', -1, 64)
+	b = append(b, "/grid="...)
+	b = strconv.AppendInt(b, int64(k.Lo), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(k.Hi), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	return string(b)
 }
 
 // DonorPool loads every live entry eligible to donate its curve to the

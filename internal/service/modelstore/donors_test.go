@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/url"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -267,6 +269,48 @@ func TestAcquireFallsBackBeforeProbing(t *testing.T) {
 	prov := Provenance(res, len(sizes))
 	if want := "donor=" + DonorID(warm) + " scale="; !strings.HasPrefix(prov, want) || !strings.Contains(prov, fmt.Sprintf("/%d maxdiff=", len(sizes))) {
 		t.Fatalf("provenance %q, want it to open with %q and count probes out of %d", prov, want, len(sizes))
+	}
+}
+
+// donorIDRef is DonorID's fmt form, the reference its bytes are pinned
+// to: donor ids are written into stored transfer provenance.
+func donorIDRef(k Key) string {
+	return fmt.Sprintf("%s/%s/seed=%d/noise=%s/grid=%d:%d:%d",
+		url.QueryEscape(k.Tenant), url.QueryEscape(k.Device),
+		k.Seed, strconv.FormatFloat(k.Noise, 'g', -1, 64), k.Lo, k.Hi, k.N)
+}
+
+// TestDonorIDMatchesRef pins DonorID's bytes to its fmt form over edge
+// keys: noise levels that print in exponent form or round, extreme seeds
+// and grids, machine devices, and tenants and devices that need escaping.
+func TestDonorIDMatchesRef(t *testing.T) {
+	base := testKey("team-a", "fast")
+	tests := []struct {
+		name string
+		edit func(*Key)
+	}{
+		{"plain", func(*Key) {}},
+		{"noise 0", func(k *Key) { k.Noise = 0 }},
+		{"noise 0.1", func(k *Key) { k.Noise = 0.1 }},
+		{"noise 1e-7", func(k *Key) { k.Noise = 1e-7 }},
+		{"noise 5e-324", func(k *Key) { k.Noise = 5e-324 }},
+		{"noise 1e21", func(k *Key) { k.Noise = 1e21 }},
+		{"noise -0", func(k *Key) { k.Noise = math.Copysign(0, -1) }},
+		{"negative seed", func(k *Key) { k.Seed = -3 }},
+		{"minimum seed", func(k *Key) { k.Seed = math.MinInt64 }},
+		{"maximum seed", func(k *Key) { k.Seed = math.MaxInt64 }},
+		{"maximum grid", func(k *Key) { k.Lo, k.Hi, k.N = 1, math.MaxInt, math.MaxInt }},
+		{"machine device", func(k *Key) { k.Device = "machine:3f2a9c01d4e5b6a7/12" }},
+		{"escaped tenant", func(k *Key) { k.Tenant = "tenant with spaces|pipes&q=1%" }},
+		{"escaped device", func(k *Key) { k.Device = "machine:é/0?x=#" }},
+		{"long fields", func(k *Key) { k.Tenant, k.Device = strings.Repeat("t/", 100), strings.Repeat("d ", 100) }},
+	}
+	for _, tc := range tests {
+		k := base
+		tc.edit(&k)
+		if got, want := DonorID(k), donorIDRef(k); got != want {
+			t.Errorf("%s: DonorID = %q, want %q", tc.name, got, want)
+		}
 	}
 }
 

@@ -36,6 +36,10 @@ type Server struct {
 	store *modelstore.Store
 	quota *quotas
 
+	// prec is DefaultSweepPrecision in the store's encoding: the Prec of
+	// every store key the server fills or preloads.
+	prec string
+
 	// ctx is the server's life: Close ends it with errClosed, unblocking
 	// every waiter.
 	ctx    context.Context
@@ -82,6 +86,7 @@ func New(cfg Config) (*Server, error) {
 		pool:      pool.New(cfg.Workers),
 		store:     st,
 		quota:     newQuotas(cfg.QuotaSlots, cfg.QuotaWeights),
+		prec:      modelstore.EncodePrecision(DefaultSweepPrecision),
 		ctx:       ctx,
 		cancel:    cancel,
 		tenants:   make(map[string]*tenantCache),
@@ -107,12 +112,11 @@ func (s *Server) preload() {
 		return
 	}
 	s.stats.StoreCorrupt.Add(int64(len(corrupt)))
-	prec := modelstore.EncodePrecision(DefaultSweepPrecision)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := len(entries) - 1; i >= 0; i-- {
 		ent := entries[i]
-		if ent.Key.Prec != prec {
+		if ent.Key.Prec != s.prec {
 			continue // another server's stopping rule: not our measurement
 		}
 		if tc, ok := s.tenants[ent.Key.Tenant]; ok && tc.order.Len() >= tc.max {

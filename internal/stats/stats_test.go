@@ -263,7 +263,15 @@ func TestTQuantileMemoBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if got, want := memoLen(&m), len(memoLevels())*len(memoDFs()); got != want {
+	// Every pair within a row is stored; df past quantileMemoCap is
+	// bisected on every call.
+	inRows := 0
+	for _, df := range memoDFs() {
+		if df <= quantileMemoCap {
+			inRows++
+		}
+	}
+	if got, want := memoLen(&m), len(memoLevels())*inRows; got != want {
 		t.Errorf("memo holds %d pairs, want %d", got, want)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = TQuantile(0.975, 5) }); allocs != 0 {

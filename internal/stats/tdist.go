@@ -2,7 +2,9 @@ package stats
 
 import (
 	"errors"
+	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // TCDF returns the cumulative distribution function of the Student-t
@@ -88,11 +90,15 @@ func tQuantile(p float64, df int) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// quantileMemoCap bounds a quantileMemo. A precision policy asks for one
-// level at df = MinReps−1 … MaxReps−1, so a process sees a few dozen
-// pairs; the cap leaves room for many policies, and a full memo holds
-// about 100 KB.
+// quantileMemoCap bounds a quantileMemo: it stores at most this many
+// pairs, and a row holds df 1 … quantileMemoCap. A precision policy asks
+// for one level at df = MinReps−1 … MaxReps−1, so a process sees a few
+// dozen pairs; the cap leaves room for many policies.
 const quantileMemoCap = 1024
+
+// quantileMemoLevels bounds a quantileMemo's rows, one per level, so a
+// full memo holds at most 16 rows of 1,024 quantiles: 128 KB.
+const quantileMemoLevels = 16
 
 // tQuantileMemo is the process-wide memo behind TQuantile. It is package
 // state callers cannot observe: it holds only values tQuantile computes
@@ -100,40 +106,91 @@ const quantileMemoCap = 1024
 // a fresh bisection would.
 var tQuantileMemo quantileMemo
 
-// quantileMemo caches tQuantile per (p, df). It is safe for concurrent
-// use and allocation-free on a hit. It stores at most quantileMemoCap
-// pairs; pairs past the cap are bisected on every call. A float key is
-// sound because valid levels exclude NaN and ±0, the only float64 values
-// whose equality disagrees with their bits.
+// quantileMemo caches tQuantile per (p, df) in a table of one row per
+// level, indexed by df. It is safe for concurrent use; a hit takes no
+// lock, allocates nothing and hashes nothing. It stores at most
+// quantileMemoCap pairs in at most quantileMemoLevels rows; a pair it does
+// not hold is bisected on every call. Comparing levels with == is sound
+// because valid levels exclude NaN and ±0, the only float64 values whose
+// equality disagrees with their bits.
 type quantileMemo struct {
-	m  sync.Map   // quantileKey → float64
-	mu sync.Mutex // serialises stores, so n never passes the cap
-	n  int
+	rows atomic.Pointer[[]quantileRow] // nil until the first store
+	mu   sync.Mutex                    // serialises stores, so n never passes the cap
+	n    int                           // stored pairs
 }
 
-type quantileKey struct {
-	p  float64
-	df int
+// quantileRow is one level's quantiles: q[df-1] is tQuantile(p, df), or
+// NaN where no pair is stored (a bisection never returns NaN). A published
+// row is never written again; a store publishes a grown copy.
+type quantileRow struct {
+	p float64
+	q []float64
 }
 
 // quantile returns tQuantile(p, df) for a valid pair. A miss bisects the
 // pair and stores it while the memo has room; concurrent misses on one
-// pair may each bisect it, and store the same bits. Errors are not stored.
+// pair may each bisect it, and the first store wins with the same bits.
+// Errors are not stored.
 func (c *quantileMemo) quantile(p float64, df int) (float64, error) {
-	k := quantileKey{p, df}
-	if q, ok := c.m.Load(k); ok {
-		return q.(float64), nil
+	if rows := c.rows.Load(); rows != nil {
+		for _, r := range *rows {
+			if r.p == p {
+				if df <= len(r.q) && !math.IsNaN(r.q[df-1]) {
+					return r.q[df-1], nil
+				}
+				break
+			}
+		}
 	}
 	q, err := tQuantile(p, df)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	if c.n < quantileMemoCap {
-		if _, loaded := c.m.LoadOrStore(k, q); !loaded {
-			c.n++
-		}
+	if df <= quantileMemoCap {
+		c.store(p, df, q)
 	}
-	c.mu.Unlock()
 	return q, nil
+}
+
+// store publishes a table holding q at (p, df), unless the memo is full
+// or already holds the pair.
+func (c *quantileMemo) store(p float64, df int, q float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n >= quantileMemoCap {
+		return
+	}
+	var old []quantileRow
+	if rows := c.rows.Load(); rows != nil {
+		old = *rows
+	}
+	i := 0
+	for i < len(old) && old[i].p != p {
+		i++
+	}
+	if i == len(old) && i >= quantileMemoLevels {
+		return
+	}
+	var prev []float64
+	if i < len(old) {
+		prev = old[i].q
+	}
+	if df <= len(prev) && !math.IsNaN(prev[df-1]) {
+		return // a concurrent miss stored it
+	}
+	row := make([]float64, max(len(prev), df))
+	copy(row, prev)
+	for j := len(prev); j < len(row); j++ {
+		row[j] = math.NaN()
+	}
+	row[df-1] = q
+	rows := make([]quantileRow, len(old), len(old)+1)
+	copy(rows, old)
+	if i < len(old) {
+		rows[i].q = row
+	} else {
+		rows = append(rows, quantileRow{p: p, q: row})
+	}
+	c.rows.Store(&rows)
+	c.n++
 }

@@ -123,8 +123,8 @@ func newCurve(pts []core.Point) (*curve, error) {
 		}
 		sorted = append(sorted, p)
 	}
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].D < sorted[j].D })
-	c := &curve{}
+	slices.SortStableFunc(sorted, func(a, b core.Point) int { return cmp.Compare(a.D, b.D) })
+	c := &curve{lx: make([]float64, 0, len(sorted)), lt: make([]float64, 0, len(sorted))}
 	for _, p := range sorted {
 		lx := math.Log(float64(p.D))
 		lt := math.Log(math.Max(p.Time, minTime))
