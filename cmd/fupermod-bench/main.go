@@ -160,16 +160,13 @@ func run(args []string, stdout io.Writer) error {
 		if perr != nil {
 			return perr
 		}
-		cfg := platform.Quiet
-		if *noise > 0 {
-			cfg = platform.NoiseConfig{Rel: *noise, OutlierP: 0.02, OutlierScale: 0.5}
-		}
+		cfg := platform.RelNoise(*noise)
 		// Each kernel gets its own meter: the noise meter draws
 		// perturbations in measurement order, so transfer probes run on a
 		// throwaway kernel — a fallback full sweep on the pristine one is
 		// then byte-identical to a run without -transfer.
 		mkKernel = func() (core.Kernel, error) {
-			return kernels.NewVirtual("gemm-b128", platform.NewMeter(dev, cfg, *seed), 2*128*128*128)
+			return kernels.NewVirtual("gemm-b128", platform.NewMeter(dev, cfg, *seed), kernels.GEMMBlockFlops)
 		}
 		k, err = mkKernel()
 		devName = dev.Name()
@@ -315,11 +312,7 @@ func benchMachine(path, outDir string, lo, hi, n int, seed int64, noise float64,
 	}
 	devs := m.Devices()
 	platform.ActivateShared(devs)
-	cfg := platform.Quiet
-	if noise > 0 {
-		cfg = platform.NoiseConfig{Rel: noise, OutlierP: 0.02, OutlierScale: 0.5}
-	}
-	ks, err := kernels.VirtualSet(devs, cfg, 2*128*128*128, seed)
+	ks, err := kernels.VirtualSet(devs, platform.RelNoise(noise), kernels.GEMMBlockFlops, seed)
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func benchGenerator(g experiments.Generator) func(b *testing.B) {
 // grid on a noiseless virtual kernel — what the -workers flag buys.
 func benchSweepParallel(b *testing.B) {
 	meter := platform.NewMeter(platform.FastCore("f"), platform.Quiet, 1)
-	k, err := kernels.NewVirtual("gemm-b128", meter, 2*128*128*128)
+	k, err := kernels.NewVirtual("gemm-b128", meter, kernels.GEMMBlockFlops)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,10 +83,9 @@ func benchSweepParallel(b *testing.B) {
 // the same noise stream.
 func benchSweepNoisy(b *testing.B) {
 	sizes := core.LogSizes(16, 60000, 40)
-	noise := platform.NoiseConfig{Rel: 0.1, OutlierP: 0.02, OutlierScale: 0.5}
 	for i := 0; i < b.N; i++ {
-		meter := platform.NewMeter(platform.FastCore("f"), noise, 1)
-		k, err := kernels.NewVirtual("gemm-b128", meter, service.GEMMBlockFlops)
+		meter := platform.NewMeter(platform.FastCore("f"), platform.RelNoise(0.1), 1)
+		k, err := kernels.NewVirtual("gemm-b128", meter, kernels.GEMMBlockFlops)
 		if err != nil {
 			b.Fatal(err)
 		}

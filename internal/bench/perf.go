@@ -12,11 +12,11 @@ package bench
 // every optimization PR records its before/after here, and the diff turns
 // a silent slowdown into a failing exit code.
 //
-// Every optimized hot path tracked by the suite keeps its unoptimized
-// reference implementation (Oracle/OracleRef, Linear.At/AtRef,
-// WritePoints/WritePointsRef, Decode/DecodeRef), so a snapshot carries
-// its own before/after pair and equivalence tests pin the fast path to
-// the reference byte-for-byte.
+// A fast path stays in production only where a benchmarked workload runs
+// it and it buys something measurable. The reference it is pinned to
+// lives beside the equivalence test that reads it, and is a tracked
+// `-ref` row only while production code calls it too. A row removed from
+// the suite on purpose is declared in the retired list beside PerfSuite.
 
 import (
 	"encoding/json"
@@ -27,6 +27,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -165,8 +166,8 @@ func (r Regression) String() string {
 // ratio: ns/op strictly by ratio, allocs/op by ratio with one alloc of
 // absolute slack (a pooled path may pay a stray allocation when GC clears
 // its pool mid-measurement). A benchmark present in old but absent from
-// new is a regression — a silently dropped benchmark must be a deliberate
-// snapshot edit, never an accident. Benchmarks only in new are ignored
+// new is a regression — a dropped benchmark must be declared in the
+// retired list, never an accident. Benchmarks only in new are ignored
 // (adding coverage is not a regression). Snapshots of different schema
 // versions refuse to diff.
 func Diff(old, new *Snapshot, threshold float64) ([]Regression, error) {
@@ -189,7 +190,9 @@ func Diff(old, new *Snapshot, threshold float64) ([]Regression, error) {
 		o := old.Benchmarks[name]
 		n, ok := new.Benchmarks[name]
 		if !ok {
-			regs = append(regs, Regression{Name: name, Metric: "missing"})
+			if !slices.Contains(retired, name) {
+				regs = append(regs, Regression{Name: name, Metric: "missing"})
+			}
 			continue
 		}
 		if o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*threshold {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -218,6 +220,17 @@ func TestDiff(t *testing.T) {
 		}
 	})
 
+	t.Run("retired benchmark is not missing", func(t *testing.T) {
+		withRetired := validSnapshot("a/x", "a/y", "b/z", "model/write-points-ref")
+		regs, err := Diff(withRetired, validSnapshot("a/x", "a/y"), 1.3)
+		if err != nil || len(regs) != 1 {
+			t.Fatalf("regs=%v err=%v", regs, err)
+		}
+		if regs[0].Name != "b/z" || regs[0].Metric != "missing" {
+			t.Errorf("unexpected regression: %v", regs[0])
+		}
+	})
+
 	t.Run("extra benchmark in new is fine", func(t *testing.T) {
 		niu := validSnapshot("a/x", "a/y", "b/z", "c/new")
 		if regs, err := Diff(old, niu, 1.3); err != nil || len(regs) != 0 {
@@ -366,9 +379,10 @@ func TestRunPerfRejectsBadSuites(t *testing.T) {
 	}
 }
 
-// TestPerfSuiteShape: stable names ("area/name"), no duplicates, and
-// every optimized benchmark ships with its -ref twin — the convention
-// that makes a snapshot carry its own before/after pair.
+// TestPerfSuiteShape: stable names ("area/name"), no duplicates, no row
+// the retired list names, and a -ref twin exactly where the reference is
+// still production code: the store decoder's classifier (DecodeRef) and
+// the full-read donor search (DonorPool).
 func TestPerfSuiteShape(t *testing.T) {
 	suite := PerfSuite()
 	if len(suite) == 0 {
@@ -387,25 +401,78 @@ func TestPerfSuiteShape(t *testing.T) {
 			t.Errorf("name %q is not area/benchmark", pb.Name)
 		}
 	}
+	for _, name := range retired {
+		if names[name] {
+			t.Errorf("retired row %s is still in the suite", name)
+		}
+	}
+	twinned := map[string]bool{"modelstore/decode": true, "modelstore/donors": true}
 	for name := range names {
-		if base, ok := strings.CutSuffix(name, "-ref"); ok && !names[base] {
-			t.Errorf("%s has no optimized counterpart %s", name, base)
+		if base, ok := strings.CutSuffix(name, "-ref"); ok && !twinned[base] {
+			t.Errorf("%s: only %v keep a -ref twin", name, twinned)
 		}
 	}
-	for _, optimized := range []string{"verify/oracle-dp", "model/piecewise-eval",
-		"model/write-points", "modelstore/decode"} {
-		if !names[optimized] {
-			t.Errorf("suite is missing tracked benchmark %s", optimized)
-		}
-		if !names[optimized+"-ref"] {
-			t.Errorf("suite is missing reference twin %s-ref", optimized)
+	for base := range twinned {
+		if !names[base] || !names[base+"-ref"] {
+			t.Errorf("suite is missing %s or its reference twin %s-ref", base, base)
 		}
 	}
-	// The service rows and the model fit are tracked without a twin.
-	for _, tracked := range []string{"service/json-roundtrip", "service/batch-key", "model/fit"} {
+	for _, tracked := range []string{"verify/oracle-dp", "model/piecewise-eval", "model/write-points",
+		"modelstore/load", "service/json-roundtrip", "service/batch-key", "model/fit"} {
 		if !names[tracked] {
 			t.Errorf("suite is missing tracked benchmark %s", tracked)
 		}
+	}
+}
+
+// TestCommittedTrajectory reads the BENCH_<n>.json snapshots at the
+// repository root in PR order: no consecutive pair may lose a row the
+// retired list does not name (timings are not compared: the threshold is
+// far above any ratio), and the newest snapshot names the git revision it
+// was recorded at.
+func TestCommittedTrajectory(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := func(path string) int {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json"))
+		if err != nil {
+			t.Fatalf("%s: not BENCH_<n>.json: %v", path, err)
+		}
+		return n
+	}
+	sort.Slice(paths, func(i, j int) bool { return pr(paths[i]) < pr(paths[j]) })
+	if len(paths) < 2 {
+		t.Fatalf("want at least two committed snapshots, found %v", paths)
+	}
+	snaps := make([]*Snapshot, len(paths))
+	for i, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i], err = DecodeSnapshot(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	for i := 1; i < len(snaps); i++ {
+		regs, err := Diff(snaps[i-1], snaps[i], 1e12)
+		if err != nil {
+			t.Fatalf("%s -> %s: %v", paths[i-1], paths[i], err)
+		}
+		for _, r := range regs {
+			if r.Metric == "missing" {
+				t.Errorf("%s -> %s: %s", filepath.Base(paths[i-1]), filepath.Base(paths[i]), r)
+			}
+		}
+	}
+	newest := snaps[len(snaps)-1]
+	if newest.GitRev == "" || newest.GitRev == "unknown" {
+		t.Errorf("%s records git_rev %q; record snapshots with go run -buildvcs=true",
+			filepath.Base(paths[len(paths)-1]), newest.GitRev)
 	}
 }
 

@@ -253,6 +253,12 @@ func (i *virtualInstance) Run() (float64, error) {
 // Close implements core.Instance.
 func (i *virtualInstance) Close() error { return nil }
 
+// GEMMBlockFlops is the arithmetic cost of one computation unit of the
+// b=128 GEMM kernel, one 128×128 block update: 2·128³ flops. Virtual
+// kernels of the CLIs, the partition service and the store audit all
+// charge it, so their sweeps of one device are the same measurement.
+const GEMMBlockFlops = 2 * 128 * 128 * 128
+
 // VirtualSet wraps each device of a platform in a Virtual kernel with a
 // shared noise configuration, seeding each meter from baseSeed plus the
 // device index so runs are reproducible.

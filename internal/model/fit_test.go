@@ -59,9 +59,6 @@ func modelState(m core.Model, probes []float64) string {
 	}
 	for _, x := range probes {
 		eval("Time", m.Time, x)
-		if pw, ok := m.(*Piecewise); ok {
-			eval("TimeRef", pw.TimeRef, x)
-		}
 		if dm, ok := m.(deriver); ok {
 			eval("Deriv", dm.Deriv, x)
 		}

@@ -129,6 +129,28 @@ func TestPiecewiseInterpolatesMonotoneData(t *testing.T) {
 	}
 }
 
+// TestPiecewiseTimeDegenerateModels: an empty model refuses to predict,
+// and a one-point model answers on the line from the origin through its
+// point, below, at and beyond that point.
+func TestPiecewiseTimeDegenerateModels(t *testing.T) {
+	if _, err := NewPiecewise().Time(5); !errors.Is(err, core.ErrEmptyModel) {
+		t.Errorf("empty model: err = %v, want ErrEmptyModel", err)
+	}
+	one := NewPiecewise()
+	if err := one.Update(core.Point{D: 10, Time: 0.5, Reps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ x, want float64 }{{0, 0}, {3, 0.15}, {10, 0.5}, {25, 1.25}} {
+		got, err := one.Time(c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-c.want) > 1e-15 {
+			t.Errorf("single-point Time(%g) = %g, want %g", c.x, got, c.want)
+		}
+	}
+}
+
 func TestPiecewiseCoarseningEnforcesMonotoneTime(t *testing.T) {
 	m := NewPiecewise()
 	// A speed spike: time at 30 dips below time at 20.

@@ -93,11 +93,6 @@ func (m *Piecewise) rebuild() error {
 // speed); beyond the last it continues with the slope of the final segment.
 // A model without an interpolant — one knot, or a rebuild that failed
 // because two sizes rounded to one float64 knot — stays on the origin line.
-//
-// Evaluation goes through interp.Linear's memoized segment lookup — the
-// solvers probe the model in monotone bisection sequences, so consecutive
-// calls nearly always hit the cached segment. TimeRef keeps the plain
-// binary-search path; TestPiecewiseTimeMatchesRef pins their equality.
 func (m *Piecewise) Time(x float64) (float64, error) {
 	if len(m.coarseD) == 0 {
 		return 0, core.ErrEmptyModel
@@ -109,22 +104,6 @@ func (m *Piecewise) Time(x float64) (float64, error) {
 		return m.coarseT[0] * x / m.coarseD[0], nil
 	}
 	return m.itp.At(x), nil
-}
-
-// TimeRef evaluates the model exactly like Time but through the
-// unmemoized reference segment search (interp.Linear.AtRef) — the kept
-// reference implementation the fast path is equivalence-tested against.
-func (m *Piecewise) TimeRef(x float64) (float64, error) {
-	if len(m.coarseD) == 0 {
-		return 0, core.ErrEmptyModel
-	}
-	if x < 0 {
-		return 0, fmt.Errorf("model: time undefined at negative size %g", x)
-	}
-	if x <= m.coarseD[0] || m.itp == nil {
-		return m.coarseT[0] * x / m.coarseD[0], nil
-	}
-	return m.itp.AtRef(x), nil
 }
 
 // InverseTime returns the size x ≥ 0 whose predicted time equals tau. It is

@@ -39,11 +39,10 @@ var pointsBuffers = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retu
 // the property the partition service's disk store relies on to rebuild
 // byte-identical models after a restart.
 //
-// This is the optimized implementation: records are append-formatted into
-// one pooled buffer and written with a single w.Write, instead of a fresh
-// bufio.Writer and one fmt.Fprintf per point. WritePointsRef keeps the
-// straightforward implementation; byte identity between the two is pinned
-// by TestWritePointsMatchesRef.
+// Records are append-formatted into one pooled buffer and written with a
+// single w.Write, instead of a fresh bufio.Writer and one fmt.Fprintf per
+// point. The plain form is WritePointsRef in this package's tests, and
+// TestWritePointsMatchesRef pins the two byte for byte.
 func WritePoints(w io.Writer, pf PointFile) error {
 	bp := pointsBuffers.Get().(*[]byte)
 	b := (*bp)[:0]
@@ -71,26 +70,6 @@ func WritePoints(w io.Writer, pf PointFile) error {
 	*bp = b
 	pointsBuffers.Put(bp)
 	return err
-}
-
-// WritePointsRef is the reference implementation of WritePoints — the
-// plain bufio + fmt form, kept (pool.MapSeq-style) as the specification
-// the pooled fast path is equivalence-tested against.
-func WritePointsRef(w io.Writer, pf PointFile) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# fupermod points v1")
-	fmt.Fprintf(bw, "# kernel: %s\n", pf.Kernel)
-	fmt.Fprintf(bw, "# device: %s\n", pf.Device)
-	fmt.Fprintln(bw, "# columns: d time reps ci")
-	for _, p := range pf.Points {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("model: refusing to write invalid point: %w", err)
-		}
-		fmt.Fprintf(bw, "%d %s %d %s\n", p.D,
-			strconv.FormatFloat(p.Time, 'g', -1, 64), p.Reps,
-			strconv.FormatFloat(p.CI, 'g', -1, 64))
-	}
-	return bw.Flush()
 }
 
 // ReadPoints parses a point file written by WritePoints. Unknown comment

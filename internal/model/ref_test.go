@@ -1,83 +1,37 @@
 package model
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"fupermod/internal/core"
 )
 
-// refPiecewise builds a piecewise model over a deliberately noisy curve
-// (so coarsening clips some knots) with n points.
-func refPiecewise(t *testing.T, n int) *Piecewise {
-	t.Helper()
-	m := NewPiecewise()
-	rng := rand.New(rand.NewSource(7))
-	d := 16
-	for i := 0; i < n; i++ {
-		tm := 1e-4 * float64(d) * (1 + 0.3*rng.Float64()) // noisy, occasionally dipping
-		if err := m.Update(core.Point{D: d, Time: tm, Reps: 3}); err != nil {
-			t.Fatal(err)
+// WritePointsRef is the reference implementation of WritePoints — the
+// plain bufio + fmt form, the specification the pooled writer is
+// equivalence-tested against.
+func WritePointsRef(w io.Writer, pf PointFile) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# fupermod points v1")
+	fmt.Fprintf(bw, "# kernel: %s\n", pf.Kernel)
+	fmt.Fprintf(bw, "# device: %s\n", pf.Device)
+	fmt.Fprintln(bw, "# columns: d time reps ci")
+	for _, p := range pf.Points {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("model: refusing to write invalid point: %w", err)
 		}
-		d += 17 + rng.Intn(400)
+		fmt.Fprintf(bw, "%d %s %d %s\n", p.D,
+			strconv.FormatFloat(p.Time, 'g', -1, 64), p.Reps,
+			strconv.FormatFloat(p.CI, 'g', -1, 64))
 	}
-	return m
-}
-
-// TestPiecewiseTimeMatchesRef pins Time (memoized segment lookup) to
-// TimeRef (plain binary search) bit for bit across the whole domain:
-// below the first knot (origin-line regime), at every coarsened knot and
-// its one-ulp neighbours, between knots, beyond the last knot
-// (extrapolation), and on the error cases.
-func TestPiecewiseTimeMatchesRef(t *testing.T) {
-	m := refPiecewise(t, 50)
-	knots, _ := m.CoarsenedKnots()
-	var queries []float64
-	for _, x := range knots {
-		queries = append(queries, x,
-			math.Nextafter(x, math.Inf(-1)),
-			math.Nextafter(x, math.Inf(1)))
-	}
-	rng := rand.New(rand.NewSource(11))
-	last := knots[len(knots)-1]
-	for i := 0; i < 2000; i++ {
-		queries = append(queries, rng.Float64()*last*1.2)
-	}
-	queries = append(queries, 0, 1, last*10, -3)
-	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
-	for _, x := range queries {
-		got, gerr := m.Time(x)
-		want, werr := m.TimeRef(x)
-		if (gerr != nil) != (werr != nil) {
-			t.Fatalf("Time(%v): error mismatch: %v vs %v", x, gerr, werr)
-		}
-		if gerr == nil && got != want {
-			t.Fatalf("Time(%v) = %v, TimeRef = %v", x, got, want)
-		}
-	}
-
-	// Degenerate models agree too: empty and single-point.
-	empty := NewPiecewise()
-	if _, err := empty.Time(5); err == nil {
-		t.Error("empty model should error")
-	}
-	if _, err := empty.TimeRef(5); err == nil {
-		t.Error("empty model should error through TimeRef")
-	}
-	one := NewPiecewise()
-	if err := one.Update(core.Point{D: 10, Time: 0.5, Reps: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 3, 10, 25} {
-		got, _ := one.Time(x)
-		want, _ := one.TimeRef(x)
-		if got != want {
-			t.Errorf("single-point Time(%v) = %v, TimeRef = %v", x, got, want)
-		}
-	}
+	return bw.Flush()
 }
 
 // refPointFile builds a point file with awkward float values (shortest

@@ -24,7 +24,19 @@ type NoiseConfig struct {
 
 // DefaultNoise is a realistic default: 2% jitter with 2% chance of up to
 // +50% outliers.
-var DefaultNoise = NoiseConfig{Rel: 0.02, OutlierP: 0.02, OutlierScale: 0.5}
+var DefaultNoise = RelNoise(0.02)
+
+// RelNoise is the noise a relative level stands for: jitter rel with a 2%
+// chance of up to +50% outliers, or Quiet when rel is not positive. It is
+// how fupermod-bench's -noise flag, a service request's device noise and
+// a store entry's key are read, so the store audit replays exactly what
+// the producers of its entries measured.
+func RelNoise(rel float64) NoiseConfig {
+	if !(rel > 0) {
+		return Quiet
+	}
+	return NoiseConfig{Rel: rel, OutlierP: 0.02, OutlierScale: 0.5}
+}
 
 // Quiet disables noise entirely; Meter.Measure returns BaseTime.
 var Quiet = NoiseConfig{}

@@ -14,6 +14,9 @@
 //     task is returned (matching what a serial loop would have reported)
 //     and the context passed to the remaining tasks is cancelled so they
 //     can stop early.
+//
+// That serial loop, MapSeq, lives in the package's tests, which pin Map to
+// it.
 package pool
 
 import (
@@ -127,26 +130,4 @@ func Do(ctx context.Context, p *Pool, fn func(ctx context.Context) error) error 
 	}
 	defer func() { <-p.sem }()
 	return fn(ctx)
-}
-
-// MapSeq is the serial reference implementation of Map: same contract,
-// one task at a time, in index order. The parallel paths are tested
-// against it, and callers that need strict sequential execution (e.g. a
-// benchmark of the serial baseline) can use it directly.
-func MapSeq[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("pool: negative task count %d", n)
-	}
-	results := make([]T, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-		r, err := fn(ctx, i)
-		if err != nil {
-			return results, err
-		}
-		results[i] = r
-	}
-	return results, nil
 }

@@ -11,6 +11,27 @@ import (
 	"time"
 )
 
+// MapSeq is the serial reference implementation of Map: same contract,
+// one task at a time, in index order. The parallel paths are tested
+// against it.
+func MapSeq[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("pool: negative task count %d", n)
+	}
+	results := make([]T, n)
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return results, err
+		}
+		r, err := fn(ctx, i)
+		if err != nil {
+			return results, err
+		}
+		results[i] = r
+	}
+	return results, nil
+}
+
 func TestMapReturnsResultsInIndexOrder(t *testing.T) {
 	p := New(8)
 	n := 100

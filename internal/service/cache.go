@@ -245,7 +245,7 @@ func (s *Server) kernelFor(tenant string, key ModelKey) (*kernels.Virtual, error
 	if err != nil {
 		return nil, err
 	}
-	return kernels.NewVirtual(dev.Name(), platform.NewMeter(dev, noiseConfig(key.Noise), key.Seed), GEMMBlockFlops)
+	return kernels.NewVirtual(dev.Name(), platform.NewMeter(dev, platform.RelNoise(key.Noise), key.Seed), GEMMBlockFlops)
 }
 
 // storeKey maps an in-memory cache key to its disk-store key; ok is false
@@ -277,16 +277,6 @@ func fitPoints(kind string, pts []core.Point) (core.Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// noiseConfig maps the request's relative-noise level to the platform's
-// noise model, matching fupermod-bench's -noise flag semantics so service
-// sweeps reproduce CLI sweeps exactly.
-func noiseConfig(rel float64) platform.NoiseConfig {
-	if rel <= 0 {
-		return platform.Quiet
-	}
-	return platform.NoiseConfig{Rel: rel, OutlierP: 0.02, OutlierScale: 0.5}
 }
 
 // validate reports whether the key is well-formed before any cache work.

@@ -115,7 +115,7 @@ func (s *Server) prepareDynpart(req *DynpartRequest) (func() (any, error), strin
 	solve := func() (any, error) {
 		kernelSet := make([]core.Kernel, len(devs))
 		for i, dev := range devs {
-			meter := platform.NewMeter(dev, noiseConfig(req.Devices[i].Noise), req.Devices[i].Seed)
+			meter := platform.NewMeter(dev, platform.RelNoise(req.Devices[i].Noise), req.Devices[i].Seed)
 			k, err := kernels.NewVirtual(dev.Name(), meter, GEMMBlockFlops)
 			if err != nil {
 				return nil, err

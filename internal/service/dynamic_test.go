@@ -38,7 +38,7 @@ func directDynpart(t *testing.T, req DynpartRequest) *dynamic.Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		meter := platform.NewMeter(dev, noiseConfig(spec.Noise), spec.Seed)
+		meter := platform.NewMeter(dev, platform.RelNoise(spec.Noise), spec.Seed)
 		k, err := kernels.NewVirtual(dev.Name(), meter, GEMMBlockFlops)
 		if err != nil {
 			t.Fatal(err)

@@ -82,7 +82,7 @@ func TestMachineMeasureMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := m.Devices()[1]
-	meter := platform.NewMeter(dev, noiseConfig(0.05), 42)
+	meter := platform.NewMeter(dev, platform.RelNoise(0.05), 42)
 	k, err := kernels.NewVirtual(dev.Name(), meter, GEMMBlockFlops)
 	if err != nil {
 		t.Fatal(err)

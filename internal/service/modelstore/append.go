@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the store's on-disk layout. A store file holds one or more
-// entries back to back, each exactly the bytes encode writes; a file with
+// entries back to back, each exactly the bytes encodeTo writes; a file with
 // one entry (every file written before append files existed) is the
 // one-entry case, read by the same code. Each *Store handle — one per
 // directory per process, through openShared — appends its spills to one
@@ -163,7 +163,7 @@ func decodeAt(path string, off int64, b []byte) (Entry, error) {
 	return e, err
 }
 
-// errNotEncoded reports an entry that decodes but is not the bytes encode
+// errNotEncoded reports an entry that decodes but is not the bytes encodeTo
 // writes for what it decodes to — hand-edited, or stitched from the torn
 // tail of one append and the start of another. It is never served.
 func errNotEncoded(label string) error {

@@ -3,9 +3,12 @@ package modelstore
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -183,6 +186,80 @@ func TestPutRefusesNonFiniteTimes(t *testing.T) {
 	if st, err := s.Stats(); err != nil || st.Entries != 0 {
 		t.Errorf("refused Puts left entries: %+v, %v", st, err)
 	}
+}
+
+// LoadRef is the reference implementation of Load: no index — a fresh
+// os.ReadFile per file, every entry split off by a line scan and decoded
+// by the two-pass DecodeRef, an unfinished tail read as torn whatever its
+// lock says, and the live entry of each key picked as its last intact one
+// in store order. It is the specification the indexed reload is
+// equivalence-tested against — TestLoadMatchesRef pins entry-for-entry
+// identity on a populated store, in a quiescent directory.
+func (s *Store) LoadRef() ([]Entry, []Corrupt, error) {
+	names, err := entryFiles(s.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	var intact []Entry
+	var corrupt []Corrupt
+	for _, name := range names {
+		path := filepath.Join(s.dir, name)
+		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // removed since the listing
+		}
+		if len(data) == 0 {
+			_, err = DecodeRef(path, data) // an empty file is a torn write
+		}
+		if err != nil {
+			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
+			continue
+		}
+		for off := 0; off < len(data); {
+			seg := refNextEntry(data[off:])
+			label := entryLabel(path, int64(off))
+			e, err := DecodeRef(label, seg)
+			if err == nil {
+				if enc, _ := encode(e.Key, e.Kernel, e.Points, e.Transfer); !bytes.Equal(enc, seg) {
+					err = errNotEncoded(label)
+				}
+			}
+			if err != nil {
+				corrupt = append(corrupt, Corrupt{Path: path, Err: err})
+			} else {
+				intact = append(intact, e)
+			}
+			off += len(seg)
+		}
+	}
+	last := make(map[Key]int, len(intact))
+	for i, e := range intact {
+		last[e.Key] = i
+	}
+	var entries []Entry
+	for i, e := range intact {
+		if last[e.Key] == i {
+			entries = append(entries, e)
+		}
+	}
+	return entries, corrupt, nil
+}
+
+// refNextEntry splits the next entry off data line by line: through the
+// first line opening with "# end:", or all of data when no such line ends.
+func refNextEntry(data []byte) []byte {
+	for i := 0; i < len(data); {
+		nl := bytes.IndexByte(data[i:], '\n')
+		if nl < 0 {
+			break
+		}
+		line := data[i : i+nl]
+		i += nl + 1
+		if bytes.HasPrefix(line, []byte("# end:")) {
+			return data[:i]
+		}
+	}
+	return data
 }
 
 // TestLoadMatchesRef pins the pooled streaming reload to LoadRef on a

@@ -472,7 +472,7 @@ func (s *Store) scanFile(fr *fileRec, f *os.File, path string, from int64, keep 
 		}
 		if tail := sc.tail(); len(tail) > 0 || fr.end == 0 {
 			// A tail lacks a complete trailer line, so it is never the
-			// layout encode writes: decoding it always reports why.
+			// layout encodeTo writes: decoding it always reports why.
 			r := &record{name: fr.name, off: fr.end, n: int64(len(tail)), corrupt: true, tail: true}
 			_, r.err = decodeAt(path, fr.end, tail)
 			r.key, r.hasKey = headerKey(tail)
@@ -508,7 +508,7 @@ func (s *Store) scanEntries(fr *fileRec, sc *scanner, path string, keep func(*re
 }
 
 // decodeRecord decodes one complete entry into a record. Only the bytes
-// encode writes are intact: anything else that happens to decode is
+// encodeTo writes are intact: anything else that happens to decode is
 // corrupt, so no entry a reader serves can differ from the bytes on disk.
 // Decode's scan reads neither the device value nor how each number is
 // spelled; encodesTo checks both, here rather than on every re-read.

@@ -181,7 +181,7 @@ func parseKeyID(s string) (Key, error) {
 		return Key{}, fmt.Errorf("modelstore: key %q: %w", s, err)
 	}
 	if strings.ContainsRune(k.Device, '\n') {
-		// encode writes the device on a header line of its own, so such a
+		// encodeTo writes the device on a header line of its own, so such a
 		// key has no entry Put would write.
 		return Key{}, fmt.Errorf("modelstore: key %q: device holds a newline", s)
 	}
@@ -284,17 +284,9 @@ func (s *Store) Path(k Key) string {
 	return filepath.Join(s.dir, own)
 }
 
-// encode renders one complete entry: the store header, the transfer
-// provenance (when present), the standard points file, and the count
-// trailer.
-func encode(k Key, kernel string, pts []core.Point, transfer string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := encodeTo(&buf, k, kernel, pts, transfer); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
+// encodeTo renders one complete entry into buf: the store header, the
+// transfer provenance (when present), the standard points file, and the
+// count trailer.
 func encodeTo(buf *bytes.Buffer, k Key, kernel string, pts []core.Point, transfer string) error {
 	buf.WriteString("# store: ")
 	buf.Write(k.appendID(buf.AvailableBuffer()))
@@ -316,7 +308,7 @@ func encodeTo(buf *bytes.Buffer, k Key, kernel string, pts []core.Point, transfe
 // encodeBuffers pools the encoding scratch of Put and encodesTo.
 var encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodesTo reports whether seg is exactly the bytes encode writes for e.
+// encodesTo reports whether seg is exactly the bytes encodeTo writes for e.
 func encodesTo(e Entry, seg []byte) bool {
 	buf := encodeBuffers.Get().(*bytes.Buffer)
 	defer encodeBuffers.Put(buf)
@@ -420,9 +412,9 @@ func (s *Store) putPlan(k Key) (fresh bool, torn []*record) {
 }
 
 // Decode parses and integrity-checks one entry by one scan of exactly the
-// bytes encode writes (scanEncoded). DecodeRef classifies whatever the scan
+// bytes encodeTo writes (scanEncoded). DecodeRef classifies whatever the scan
 // refuses: damage gets the reference's message, and a layout the reference
-// reads but encode never writes (a blank line, a tab, reordered headers) is
+// reads but encodeTo never writes (a blank line, a tab, reordered headers) is
 // not in the store's encoding. TestDecodeMatchesRef and FuzzDecodeMatchesRef
 // pin this contract. It is exported for the perf harness and the
 // equivalence tests; regular access goes through Get and Load.
@@ -436,7 +428,7 @@ func Decode(path string, data []byte) (Entry, error) {
 	return Entry{}, errNotEncoded(path)
 }
 
-// scanEncoded reads data as the layout encode writes, trimming nothing and
+// scanEncoded reads data as the layout encodeTo writes, trimming nothing and
 // skipping no line: the store header, a transfer header when there is
 // provenance, the points-file headers, one "d time reps ci" line per point
 // with single spaces, the "# end: <count>" trailer, and nothing after. It
@@ -692,78 +684,4 @@ func (s *Store) Load() ([]Entry, []Corrupt, error) {
 		corrupt = append(corrupt, Corrupt{Path: filepath.Join(s.dir, r.name), Err: r.err})
 	}
 	return entries, corrupt, nil
-}
-
-// LoadRef is the reference implementation of Load: no index — a fresh
-// os.ReadFile per file, every entry split off by a line scan and decoded
-// by the two-pass DecodeRef, an unfinished tail read as torn whatever its
-// lock says, and the live entry of each key picked as its last intact one
-// in store order. Kept (pool.MapSeq-style) as the specification the
-// indexed reload is equivalence-tested against — TestLoadMatchesRef pins
-// entry-for-entry identity on a populated store, in a quiescent directory.
-func (s *Store) LoadRef() ([]Entry, []Corrupt, error) {
-	names, err := entryFiles(s.dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var intact []Entry
-	var corrupt []Corrupt
-	for _, name := range names {
-		path := filepath.Join(s.dir, name)
-		data, err := os.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // removed since the listing
-		}
-		if len(data) == 0 {
-			_, err = DecodeRef(path, data) // an empty file is a torn write
-		}
-		if err != nil {
-			corrupt = append(corrupt, Corrupt{Path: path, Err: err})
-			continue
-		}
-		for off := 0; off < len(data); {
-			seg := refNextEntry(data[off:])
-			label := entryLabel(path, int64(off))
-			e, err := DecodeRef(label, seg)
-			if err == nil {
-				if enc, _ := encode(e.Key, e.Kernel, e.Points, e.Transfer); !bytes.Equal(enc, seg) {
-					err = errNotEncoded(label)
-				}
-			}
-			if err != nil {
-				corrupt = append(corrupt, Corrupt{Path: path, Err: err})
-			} else {
-				intact = append(intact, e)
-			}
-			off += len(seg)
-		}
-	}
-	last := make(map[Key]int, len(intact))
-	for i, e := range intact {
-		last[e.Key] = i
-	}
-	var entries []Entry
-	for i, e := range intact {
-		if last[e.Key] == i {
-			entries = append(entries, e)
-		}
-	}
-	return entries, corrupt, nil
-}
-
-// refNextEntry splits the next entry off data line by line: through the
-// first line opening with "# end:", or all of data when no such line ends.
-func refNextEntry(data []byte) []byte {
-	for i := 0; i < len(data); {
-		nl := bytes.IndexByte(data[i:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := data[i : i+nl]
-		i += nl + 1
-		if bytes.HasPrefix(line, []byte("# end:")) {
-			return data[:i]
-		}
-	}
-	return data
 }

@@ -16,6 +16,17 @@ import (
 
 var testPrec = core.Precision{MinReps: 3, MaxReps: 8, Confidence: 0.95, RelErr: 0.05}
 
+// encode renders one complete entry: the store header, the transfer
+// provenance (when present), the standard points file, and the count
+// trailer.
+func encode(k Key, kernel string, pts []core.Point, transfer string) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := encodeTo(&buf, k, kernel, pts, transfer); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 func testKey(tenant, device string) Key {
 	return Key{
 		Tenant: tenant, Device: device,

@@ -316,7 +316,7 @@ func TestStoreIsolatesPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := kernels.NewVirtual(d.Name(), platform.NewMeter(d, noiseConfig(dev.Noise), dev.Seed), GEMMBlockFlops)
+	k, err := kernels.NewVirtual(d.Name(), platform.NewMeter(d, platform.RelNoise(dev.Noise), dev.Seed), GEMMBlockFlops)
 	if err != nil {
 		t.Fatal(err)
 	}

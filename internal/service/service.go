@@ -54,13 +54,14 @@ import (
 	"time"
 
 	"fupermod/internal/core"
+	"fupermod/internal/kernels"
 	"fupermod/internal/model"
 )
 
 // GEMMBlockFlops is the arithmetic cost of one computation unit (one
-// 128×128 block update), matching fupermod-bench's virtual kernels so
-// service sweeps and CLI sweeps are directly comparable.
-const GEMMBlockFlops = 2 * 128 * 128 * 128
+// 128×128 block update), kernels.GEMMBlockFlops, so service sweeps and
+// CLI sweeps are directly comparable.
+const GEMMBlockFlops = kernels.GEMMBlockFlops
 
 // DefaultSweepPrecision is the statistical stopping rule the service
 // benchmarks with. It is exported so clients reproducing a service result

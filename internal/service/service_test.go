@@ -74,7 +74,7 @@ func directModel(t *testing.T, dev DeviceSpec, grid Grid, kind string) (core.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	meter := platform.NewMeter(d, noiseConfig(dev.Noise), dev.Seed)
+	meter := platform.NewMeter(d, platform.RelNoise(dev.Noise), dev.Seed)
 	k, err := kernels.NewVirtual(d.Name(), meter, GEMMBlockFlops)
 	if err != nil {
 		t.Fatal(err)

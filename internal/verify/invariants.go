@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"fupermod/internal/core"
 )
@@ -70,11 +69,6 @@ func Makespan(models []core.Model, sizes []int) (float64, error) {
 	return m, nil
 }
 
-// maxOracleStates bounds the exhaustive enumeration; C(D+n−1, n−1) must
-// stay under it. At the default suite sizes (D ≤ 24, n ≤ 4) the count is
-// a few thousand.
-const maxOracleStates = 5_000_000
-
 // maxOracleCells bounds the DP table of Oracle: n·(D+1) cells must stay
 // under it. At the bound the table holds ~160 MB of choices — far beyond
 // any realistic verification size (D = 100,000 over n = 64 processes is
@@ -104,37 +98,6 @@ func oracleTimes(models []core.Model, D int) ([][]float64, error) {
 	return times, nil
 }
 
-// oracleScratch holds the DP working set of Oracle — the flat time table,
-// the flat backtracking table and the two rolling rows — so repeated
-// oracle calls (the verification suite runs thousands) reuse one
-// allocation instead of reallocating per call.
-type oracleScratch struct {
-	times  []float64
-	choice []int32
-	prev   []float64
-	cur    []float64
-}
-
-var oraclePool = sync.Pool{New: func() any { return new(oracleScratch) }}
-
-// grow resizes the scratch for n models over D units. Contents are
-// dirty — every cell the DP reads is written first.
-func (s *oracleScratch) grow(n, D int) {
-	cells := n * (D + 1)
-	if cap(s.times) < cells {
-		s.times = make([]float64, cells)
-		s.choice = make([]int32, cells)
-	}
-	s.times = s.times[:cells]
-	s.choice = s.choice[:cells]
-	if cap(s.prev) < D+1 {
-		s.prev = make([]float64, D+1)
-		s.cur = make([]float64, D+1)
-	}
-	s.prev = s.prev[:D+1]
-	s.cur = s.cur[:D+1]
-}
-
 // Oracle finds a makespan-optimal integer distribution of D units over
 // the models by dynamic programming over per-process prefix makespans:
 //
@@ -145,141 +108,15 @@ func (s *oracleScratch) grow(n, D int) {
 // functions every fᵢ is non-decreasing in d, so the inner minimisation is
 // the crossing point of an increasing and a decreasing sequence and is
 // found by binary search — O(n·D·log D) overall, which reaches realistic
-// problem sizes (D ≥ 10,000, n ≥ 16) that the enumerating OracleEnum
-// refuses. Non-monotone time functions fall back to scanning every split,
-// O(n·D²), exact for any shape but gated by an operation bound.
-//
-// This is the optimized implementation: the inner binary search is
-// hand-inlined (no sort.Search closure per cell) and the DP tables come
-// from a pooled scratch, so a call allocates only its result slice.
-// OracleRef keeps the straightforward implementation; the two are pinned
-// to each other exactly by TestOracleMatchesRef.
+// problem sizes (D ≥ 10,000, n ≥ 16) that an exhaustive enumeration
+// cannot. Non-monotone time functions fall back to scanning every split,
+// O(n·D²), exact for any shape but gated by an operation bound. The table
+// of n·(D+1) cells is bounded too.
 //
 // The returned distribution is one optimal choice; when several
-// distributions achieve the optimal makespan, Oracle and OracleEnum may
-// legitimately pick different ones while agreeing on the makespan.
+// distributions achieve the optimal makespan, another exact search may
+// legitimately pick a different one while agreeing on the makespan.
 func Oracle(models []core.Model, D int) (best []int, makespan float64, err error) {
-	n := len(models)
-	if n == 0 {
-		return nil, 0, fmt.Errorf("verify: oracle needs models")
-	}
-	if D < 0 {
-		return nil, 0, fmt.Errorf("verify: oracle needs D >= 0, got %d", D)
-	}
-	if cells := int64(n) * int64(D+1); cells > maxOracleCells {
-		return nil, 0, fmt.Errorf("verify: oracle table too large (%d cells for D=%d, n=%d)", cells, D, n)
-	}
-	sc := oraclePool.Get().(*oracleScratch)
-	defer oraclePool.Put(sc)
-	sc.grow(n, D)
-	w := D + 1
-	times := sc.times
-	for i, m := range models {
-		row := times[i*w : (i+1)*w]
-		row[0] = 0
-		for d := 1; d <= D; d++ {
-			t, terr := m.Time(float64(d))
-			if terr != nil {
-				return nil, 0, fmt.Errorf("verify: oracle: model %d at d=%d: %w", i, d, terr)
-			}
-			row[d] = t
-		}
-	}
-	monotone := true
-scan:
-	for i := 0; i < n; i++ {
-		row := times[i*w : (i+1)*w]
-		for d := 1; d <= D; d++ {
-			if row[d] < row[d-1] {
-				monotone = false
-				break scan
-			}
-		}
-	}
-	if !monotone {
-		if ops := int64(n) * int64(D+1) * int64(D+1); ops > maxOracleScanOps {
-			return nil, 0, fmt.Errorf("verify: oracle scan too large on non-monotone models (%d ops for D=%d, n=%d)", ops, D, n)
-		}
-	}
-	// choice[i*w+d] is the x that attains fᵢ(d), for backtracking.
-	choice := sc.choice
-	prev, cur := sc.prev, sc.cur
-	copy(prev, times[:w])
-	for d := 0; d <= D; d++ {
-		choice[d] = int32(d)
-	}
-	for i := 1; i < n; i++ {
-		row := times[i*w : (i+1)*w]
-		choiceRow := choice[i*w : (i+1)*w]
-		for d := 0; d <= D; d++ {
-			var bestX int
-			if monotone {
-				// Smallest x where the increasing row[x] overtakes the
-				// decreasing prev[d−x]; the optimum is there or one left.
-				lo, hi := 0, d+1
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if row[mid] >= prev[d-mid] {
-						hi = mid
-					} else {
-						lo = mid + 1
-					}
-				}
-				bestX = lo
-				if lo > d {
-					bestX = d
-				}
-				if lo > 0 {
-					alt := lo - 1
-					altW, bestW := prev[d-alt], row[bestX]
-					if r := row[alt]; r > altW {
-						altW = r
-					}
-					if p := prev[d-bestX]; p > bestW {
-						bestW = p
-					}
-					if altW < bestW {
-						bestX = alt
-					}
-				}
-			} else {
-				worst := math.Inf(1)
-				for x := 0; x <= d; x++ {
-					c := prev[d-x]
-					if r := row[x]; r > c {
-						c = r
-					}
-					if c < worst {
-						worst = c
-						bestX = x
-					}
-				}
-			}
-			m := prev[d-bestX]
-			if r := row[bestX]; r > m {
-				m = r
-			}
-			cur[d] = m
-			choiceRow[d] = int32(bestX)
-		}
-		prev, cur = cur, prev
-	}
-	best = make([]int, n)
-	d := D
-	for i := n - 1; i >= 0; i-- {
-		x := int(choice[i*w+d])
-		best[i] = x
-		d -= x
-	}
-	return best, prev[D], nil
-}
-
-// OracleRef is the reference implementation of Oracle: the same DP with
-// the straightforward sort.Search inner loop and per-call table
-// allocation. It is kept, like OracleEnum and pool.MapSeq, as the
-// readable specification the optimized Oracle is equivalence-tested
-// against — never delete the reference when touching the fast path.
-func OracleRef(models []core.Model, D int) (best []int, makespan float64, err error) {
 	n := len(models)
 	if n == 0 {
 		return nil, 0, fmt.Errorf("verify: oracle needs models")
@@ -361,72 +198,6 @@ func OracleRef(models []core.Model, D int) (best []int, makespan float64, err er
 		d -= x
 	}
 	return best, prev[D], nil
-}
-
-// OracleEnum finds a makespan-optimal integer distribution of D units
-// over the models by exhaustive enumeration of all compositions of D into
-// len(models) non-negative parts, with branch-and-bound pruning on the
-// running makespan. It is exponential by design and refuses inputs whose
-// state count exceeds an internal bound; it is kept as an independent
-// cross-check of the DP Oracle on small instances.
-func OracleEnum(models []core.Model, D int) (best []int, makespan float64, err error) {
-	n := len(models)
-	if n == 0 {
-		return nil, 0, fmt.Errorf("verify: oracle needs models")
-	}
-	if D < 0 {
-		return nil, 0, fmt.Errorf("verify: oracle needs D >= 0, got %d", D)
-	}
-	if states := compositions(D, n); states > maxOracleStates {
-		return nil, 0, fmt.Errorf("verify: oracle space too large (%d states for D=%d, n=%d)", states, D, n)
-	}
-	times, err := oracleTimes(models, D)
-	if err != nil {
-		return nil, 0, err
-	}
-	best = make([]int, n)
-	cur := make([]int, n)
-	makespan = math.Inf(1)
-	var walk func(i, left int, worst float64)
-	walk = func(i, left int, worst float64) {
-		if worst >= makespan {
-			return // cannot improve on the incumbent
-		}
-		if i == n-1 {
-			cur[i] = left
-			w := worst
-			if t := times[i][left]; t > w {
-				w = t
-			}
-			if w < makespan {
-				makespan = w
-				copy(best, cur)
-			}
-			return
-		}
-		for d := 0; d <= left; d++ {
-			cur[i] = d
-			w := worst
-			if t := times[i][d]; t > w {
-				w = t
-			}
-			walk(i+1, left-d, w)
-		}
-	}
-	walk(0, D, 0)
-	return best, makespan, nil
-}
-
-// compositions counts C(D+n−1, n−1), saturating at maxOracleStates+1.
-func compositions(D, n int) int {
-	c := 1.0
-	for i := 1; i < n; i++ {
-		c = c * float64(D+i) / float64(i)
-		if c > maxOracleStates {
-			return maxOracleStates + 1
-		}
-	}
-	return int(c)
 }
 
 // CheckOptimal compares a partitioner's distribution against the DP

@@ -12,14 +12,6 @@ import (
 	"fupermod/internal/trace"
 )
 
-// gemmBlockFlops mirrors the computation-unit cost used by fupermod-bench
-// and the partition service, so audit re-sweeps measure the same virtual
-// kernel the stored entries were measured with. The stored kernel *label*
-// varies by producer (the service names kernels after the device, bench
-// uses "gemm-b128"); the measurement depends only on the device, the noise
-// conditions and this cost, so the audit ignores the label.
-const gemmBlockFlops = 2 * 128 * 128 * 128
-
 // StoreAudit is the outcome of AuditStore: an integrity-and-replay check
 // of an on-disk model store shared by fupermod-serve and fupermod-bench.
 type StoreAudit struct {
@@ -134,12 +126,13 @@ func AuditStore(dir string) (*StoreAudit, error) {
 		if err != nil {
 			return nil, err // Load validated the key; this cannot happen
 		}
-		cfg := platform.Quiet
-		if e.Key.Noise > 0 {
-			cfg = platform.NoiseConfig{Rel: e.Key.Noise, OutlierP: 0.02, OutlierScale: 0.5}
-		}
-		meter := platform.NewMeter(dev, cfg, e.Key.Seed)
-		k, err := kernels.NewVirtual(dev.Name(), meter, gemmBlockFlops)
+		// The stored kernel label varies by producer (the service names
+		// kernels after the device, bench uses "gemm-b128"); the
+		// measurement depends only on the device, the noise conditions and
+		// the unit cost, which every producer shares, so the label is not
+		// read.
+		meter := platform.NewMeter(dev, platform.RelNoise(e.Key.Noise), e.Key.Seed)
+		k, err := kernels.NewVirtual(dev.Name(), meter, kernels.GEMMBlockFlops)
 		if err != nil {
 			return nil, err
 		}

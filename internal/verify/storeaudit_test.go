@@ -24,7 +24,7 @@ func putSweep(t *testing.T, store *modelstore.Store, preset string, seed int64) 
 		t.Fatal(err)
 	}
 	meter := platform.NewMeter(dev, platform.Quiet, seed)
-	k, err := kernels.NewVirtual(dev.Name(), meter, gemmBlockFlops)
+	k, err := kernels.NewVirtual(dev.Name(), meter, kernels.GEMMBlockFlops)
 	if err != nil {
 		t.Fatal(err)
 	}
